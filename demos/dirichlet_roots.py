@@ -2,8 +2,9 @@
 
 A multiplicative function restricted to powers of one prime is just a value
 sequence starting at 1, and Dirichlet convolution becomes the plain Cauchy
-product there.  The polynomial root machinery then computes fractional
-convolution powers of zeta, phi, sigma, tau exactly.
+product there.  The row recurrence of the root matrices, applied to the
+function's recovered core, then computes fractional convolution powers of
+zeta, phi, sigma, tau exactly.
 """
 
 from fractions import Fraction

@@ -16,7 +16,6 @@ need rational functions in the t's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -45,7 +44,6 @@ class SingularCoreError(ValueError):
     below the seed rows."""
 
 
-@dataclass(frozen=True)
 class CorePolynomial:
     """The recursion core x^k - t1 x^(k-1) - ... - tk.
 
@@ -53,17 +51,32 @@ class CorePolynomial:
     None for the generic symbolic core in k indeterminates.
     """
 
-    k: int
-    coefficients: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, k: int, coefficients: Sequence[RationalLike] | None = None) -> None:
+        if k < 1:
             raise ValueError("core degree k must be >= 1")
-        if self.coefficients is not None:
-            coeffs = tuple(Fraction(c) for c in self.coefficients)
-            if len(coeffs) != self.k:
-                raise ValueError(f"expected {self.k} coefficients, got {len(coeffs)}")
-            object.__setattr__(self, "coefficients", coeffs)
+        if coefficients is not None:
+            coefficients = tuple(Fraction(c) for c in coefficients)
+            if len(coefficients) != k:
+                raise ValueError(f"expected {k} coefficients, got {len(coefficients)}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.coefficients) == (other.k, other.coefficients)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.coefficients))
+
+    def __repr__(self) -> str:
+        return f"CorePolynomial(k={self.k!r}, coefficients={self.coefficients!r})"
 
     @classmethod
     def generic(cls, k: int) -> "CorePolynomial":

@@ -3,20 +3,21 @@
 A multiplicative function restricted to powers of a fixed prime p is just the
 value list (f(1), f(p), f(p^2), ...), and Dirichlet convolution restricts to
 the Cauchy product of those lists.  Writing the list as a Fibonacci-side
-sequence of some recovered core turns fractional Dirichlet powers into plain
-polynomial evaluation: the degree-n value of f^q is the q-th root polynomial
-evaluated at the recovered core coefficients.  All values are exact
-rationals, so f^(1/m) convolved with itself m times returns f on the nose.
+sequence of some recovered core turns fractional Dirichlet powers into the
+root family at that core: the degree-n value of f^q is the q-th root
+polynomial evaluated at the recovered core coefficients.  The values come
+from the root matrix's row recurrence applied to numbers, O(N^2) exact steps
+for N prime powers, never from the p(n)-term polynomials themselves.  All
+values are exact rationals, so f^(1/m) convolved with itself m times returns
+f on the nose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .polynomials import RationalLike
-from .roots import gfp_root_closed
 
 __all__ = [
     "LocalMF",
@@ -29,7 +30,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LocalMF:
     """Values (v0, v1, ..., vN) of a multiplicative function at p^0..p^N.
 
@@ -37,16 +37,31 @@ class LocalMF:
     convolution purposes.  The label is cosmetic and ignored by comparisons.
     """
 
-    values: tuple[Fraction, ...]
-    label: str = field(default="f", compare=False)
-
-    def __post_init__(self) -> None:
-        vals = tuple(Fraction(v) for v in self.values)
+    def __init__(self, values: Sequence[RationalLike], label: str = "f") -> None:
+        vals = tuple(Fraction(v) for v in values)
         if not vals:
             raise ValueError("need at least the value at 1")
         if vals[0] != 1:
             raise ValueError(f"f(1) must be 1, got {vals[0]}")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
+
+    def __repr__(self) -> str:
+        return f"LocalMF(values={self.values!r}, label={self.label!r})"
 
     @property
     def truncation(self) -> int:
@@ -54,7 +69,9 @@ class LocalMF:
         return len(self.values) - 1
 
     def value(self, n: int) -> Fraction:
-        """f(p^n) for 0 <= n <= N."""
+        """f(p^n) for 0 <= n <= N; IndexError for any other n."""
+        if not 0 <= n < len(self.values):
+            raise IndexError(f"exponent {n} outside 0..{len(self.values) - 1}")
         return self.values[n]
 
     def format_values(self) -> str:
@@ -92,19 +109,25 @@ def recover_core(f: LocalMF) -> tuple[Fraction, ...]:
 
 
 def local_power(f: LocalMF, q: RationalLike) -> LocalMF:
-    """The q-th Dirichlet power of f, computed through the root polynomials.
+    """The q-th Dirichlet power of f, by the root-row recurrence.
 
-    Recover the core of f, then evaluate the degree-n q-th root polynomial
-    at it for each n.  q = 1 reproduces f, q = -1 its Dirichlet inverse,
-    q = 1/m an m-th root.
+    With the core (t1, ..., tN) of f recovered, row n of the root matrix
+    gives n g_n = sum_{j=1..n} (j q + n - j) t_j g_{n-j} from g_0 = 1, the
+    value of the degree-n q-th root polynomial at the core.  That is O(N^2)
+    exact steps, with the zero core coefficients skipped.  q = 1 reproduces
+    f, q = -1 its Dirichlet inverse, q = 1/m an m-th root.
     """
     q = Fraction(q)
     N = f.truncation
+    core = [(j, t) for j, t in enumerate(recover_core(f), start=1) if t]
     vals = [Fraction(1)]
-    if N >= 1:
-        ts = recover_core(f)
-        for n in range(1, N + 1):
-            vals.append(gfp_root_closed(q, N, n).evaluate(ts))
+    for n in range(1, N + 1):
+        acc = Fraction(0)
+        for j, t in core:
+            if j > n:
+                break
+            acc += (j * q + n - j) * t * vals[n - j]
+        vals.append(acc / n)
     return LocalMF(tuple(vals), f"{f.label}^{q}")
 
 

@@ -10,7 +10,6 @@ enumeration order once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -19,7 +18,6 @@ from typing import Callable, Iterator
 __all__ = ["ExponentVector", "exponent_vectors", "multinomial", "weight_dot"]
 
 
-@dataclass(frozen=True)
 class ExponentVector:
     """Multiplicity vector (a1, ..., ak) of a partition with parts <= k.
 
@@ -27,16 +25,29 @@ class ExponentVector:
     derived quantities ``degree`` and ``norm`` are cached on first access.
     """
 
-    multiplicities: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.multiplicities, tuple):
-            object.__setattr__(self, "multiplicities", tuple(self.multiplicities))
-        if not self.multiplicities:
+    def __init__(self, multiplicities: tuple[int, ...]) -> None:
+        if not isinstance(multiplicities, tuple):
+            multiplicities = tuple(multiplicities)
+        if not multiplicities:
             raise ValueError("exponent vector needs at least one slot (k >= 1)")
-        for a in self.multiplicities:
+        for a in multiplicities:
             if not isinstance(a, int) or a < 0:
                 raise ValueError(f"multiplicities must be nonnegative integers, got {a!r}")
+        object.__setattr__(self, "multiplicities", multiplicities)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.multiplicities == other.multiplicities
+
+    def __hash__(self) -> int:
+        return hash((self.multiplicities,))
 
     @property
     def k(self) -> int:

@@ -19,6 +19,7 @@ from .multiplicative import (
     dirichlet_convolve_local,
     known_function,
     local_power,
+    recover_core,
     root_verify,
 )
 from .partitions import exponent_vectors
@@ -142,8 +143,28 @@ def suite_companion(max_n: int) -> Result:
     return True, ""
 
 
+def _local_powers_closed(fs: list[LocalMF], q: Fraction) -> list[LocalMF]:
+    """q-th Dirichlet powers of functions sharing one truncation N, by
+    evaluating the closed root polynomials (p(n) terms at degree n) at each
+    recovered core: the oracle for the root-row recurrence in ``local_power``.
+    The polynomials are built once per call and shared by all functions."""
+    N = fs[0].truncation
+    roots = [gfp_root_closed(q, N, n) for n in range(1, N + 1)]
+    out = []
+    for f in fs:
+        ts = recover_core(f)
+        out.append(LocalMF((Fraction(1), *(r.evaluate(ts) for r in roots)), f"{f.label}^{q}"))
+    return out
+
+
 def suite_mf(max_n: int) -> Result:
     N = max(max_n, 2)
+    pairs = [(name, p) for name in KNOWN_FUNCTIONS for p in (2, 3)]
+    stock = [known_function(name, p, N) for name, p in pairs]
+    for q in (Fraction(1, 2), Fraction(-1), Fraction(7, 3), Fraction(0)):
+        for (name, p), f, want in zip(pairs, stock, _local_powers_closed(stock, q)):
+            if local_power(f, q) != want:
+                return False, f"{name}^{q} at p={p} differs from the closed root polynomials"
     for name, p in (("zeta", 2), ("phi", 2), ("tau", 2)):
         f = known_function(name, p, N)
         for m in (2, 3):

@@ -293,3 +293,11 @@ def test_negative_row_range_from_shell():
     proc = subprocess.run(cmd, capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout.decode().splitlines()[0] == "row -2:  -1  1"
+
+
+def test_startup_imports_no_dataclasses():
+    # dataclasses drags inspect, ast, dis and tokenize into every iso start.
+    code = "import sys, isobaric.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == "[]\n"

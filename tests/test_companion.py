@@ -38,6 +38,19 @@ def test_core_constructors():
         c.t(3)
 
 
+def test_core_value_semantics():
+    c = CorePolynomial.numeric((1, Fraction(1, 2)))
+    assert c == CorePolynomial(2, (Fraction(1), Fraction(1, 2)))
+    assert hash(c) == hash(CorePolynomial(2, (1, Fraction(1, 2))))
+    assert c != CorePolynomial.generic(2) and c != (1, Fraction(1, 2))
+    with pytest.raises(AttributeError):
+        c.k = 3
+    with pytest.raises(AttributeError):
+        c.coefficients = None
+    assert repr(c) == "CorePolynomial(k=2, coefficients=(Fraction(1, 1), Fraction(1, 2)))"
+    assert repr(CorePolynomial.generic(3)) == "CorePolynomial(k=3, coefficients=None)"
+
+
 # -- companion matrix ------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from isobaric.multiplicative import (
     recover_core,
     root_verify,
 )
+from isobaric.verify import _local_powers_closed
 
 
 # -- the value container ---------------------------------------------------
@@ -26,11 +28,32 @@ def test_value_at_one_must_be_unit():
     assert f.truncation == 2
 
 
+def test_value_outside_stored_range_rejected():
+    f = known_function("id", 2, 3)
+    assert f.value(3) == 8
+    for n in (-1, -4, 4):
+        with pytest.raises(IndexError, match=r"0\.\.3"):
+            f.value(n)
+
+
 def test_labels_ignored_by_equality():
     a = LocalMF((1, 2, 3), "a")
     b = LocalMF((1, 2, 3), "b")
     assert a == b
+    assert hash(a) == hash(b)
     assert LocalMF((1, 2, 4), "a") != a
+    assert a != (1, 2, 3)
+
+
+def test_immutable_with_field_repr():
+    f = LocalMF((1, Fraction(1, 2)), "h")
+    with pytest.raises(AttributeError):
+        f.values = (1,)
+    with pytest.raises(AttributeError):
+        f.label = "g"
+    with pytest.raises(AttributeError):
+        del f.label
+    assert repr(f) == "LocalMF(values=(Fraction(1, 1), Fraction(1, 2)), label='h')"
 
 
 def test_parse_and_format_round_trip():
@@ -148,3 +171,36 @@ def test_root_values_stay_exact_rationals():
     assert all(isinstance(v, Fraction) for v in root.values)
     cubed = dirichlet_convolve_local(dirichlet_convolve_local(root, root), root)
     assert cubed == known_function("tau", 2, 6)
+
+
+# -- the root-row recurrence against the closed root polynomials -----------
+
+@pytest.mark.parametrize("N", (0, 1, 5, 14))
+def test_power_matches_closed_root_polynomials_on_stock_grid(N):
+    stock = [known_function(name, p, N) for name in KNOWN_FUNCTIONS for p in (2, 3)]
+    for q in (Fraction(1, 2), Fraction(-1), Fraction(7, 3), Fraction(0)):
+        for f, want in zip(stock, _local_powers_closed(stock, q)):
+            got = local_power(f, q)
+            assert got == want, (f.label, q, N)
+            assert got.label == want.label == f"{f.label}^{q}"
+
+
+def test_power_matches_closed_root_polynomials_on_random_functions():
+    rng = random.Random(20261017)
+
+    def small_rational():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    for case in range(200):
+        N = rng.randint(0, 12)
+        f = LocalMF((1, *(small_rational() for _ in range(N))))
+        q = Fraction(rng.randint(-4, 4)) if case % 3 == 0 else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        assert local_power(f, q) == _local_powers_closed([f], q)[0], (case, f.values, q)
+
+
+def test_root_verify_beyond_polynomial_reach():
+    # Degree 120 has p(120) ~ 1.8e9 root-polynomial terms; the recurrence
+    # needs about 120^2 / 2 exact steps.
+    assert root_verify(known_function("sigma", 7, 120), 3)

@@ -104,3 +104,16 @@ def test_hashable_and_iterable():
     assert tuple(a) == (1, 0, 1)
     assert len(a) == 3
     assert len({a, ExponentVector((1, 0, 1))}) == 1
+    assert ExponentVector([1, 0, 1]) == a and a != (1, 0, 1)
+
+
+def test_immutable_with_repr():
+    a = ExponentVector((2, 1))
+    assert a.degree == 4
+    with pytest.raises(AttributeError):
+        a.multiplicities = (1, 1)
+    with pytest.raises(AttributeError):
+        a.degree = 5
+    with pytest.raises(AttributeError):
+        del a.multiplicities
+    assert a.degree == 4 and repr(a) == "ExponentVector(2, 1)"
