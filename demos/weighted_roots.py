@@ -1,9 +1,10 @@
 """Fractional convolution powers of an arbitrarily weighted family.
 
 The weighted families keep the group structure: any rational power q of the
-base family exists, computed coefficient by coefficient from iterated total
-derivatives of weight monomials.  Setting every weight to 1 recovers the
-simpler closed form, and powers compose additively.
+base family exists, computed coefficient by coefficient from total
+derivatives of weight monomials (read off the product prod (w_i + s)^a_i).
+Setting every weight to 1 recovers the simpler closed form, and powers
+compose additively.
 """
 
 from fractions import Fraction

@@ -45,7 +45,7 @@ from .multiplicative import (
     recover_core,
     root_verify,
 )
-from .partitions import ExponentVector, exponent_vectors, multinomial, weight_dot
+from .partitions import ExponentVector, exponent_vectors, multinomial, vector_count, weight_dot
 from .polynomials import (
     IsobaricPoly,
     PolySequence,
@@ -62,14 +62,12 @@ from .polynomials import (
 )
 from .roots import (
     DegenerateQError,
-    OmegaPolynomial,
     gfp_root_closed,
     gfp_root_matrix,
     gfp_root_sequence,
     gfp_root_stirling_matrix,
     stirling1_expand,
     stirling_B,
-    total_derivative,
     wip_root,
     wip_root_coeff,
 )
@@ -79,6 +77,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ExponentVector",
     "exponent_vectors",
+    "vector_count",
     "multinomial",
     "weight_dot",
     "IsobaricPoly",
@@ -100,14 +99,12 @@ __all__ = [
     "hessenberg_value",
     "rep_check",
     "DegenerateQError",
-    "OmegaPolynomial",
     "gfp_root_closed",
     "gfp_root_matrix",
     "gfp_root_sequence",
     "gfp_root_stirling_matrix",
     "stirling1_expand",
     "stirling_B",
-    "total_derivative",
     "wip_root",
     "wip_root_coeff",
     "CompanionWindow",

@@ -3,8 +3,9 @@
 Output is deterministic byte-for-byte for fixed arguments: polynomial terms
 print in descending lexicographic order, rationals in lowest terms ("p/q" or
 a bare integer), and JSON uses a fixed two-space indent.  Exit codes: 0 on
-success, 1 on usage errors, 2 on domain errors raised by the library, 3 when
-a requested verification fails.
+success, 1 on usage errors, 2 on domain errors raised by the library and on
+outputs refused for size (over ``MAX_TERMS`` terms, predicted before any
+work), 3 when a requested verification fails.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .companion import (
 )
 from .hessenberg import build_minus, build_plus
 from .multiplicative import dirichlet_convolve_local, known_function, local_power
+from .partitions import vector_count
 from .polynomials import IsobaricPoly, WeightVector, convolve, wip_closed
 from .roots import (
     gfp_root_closed,
@@ -37,6 +39,11 @@ from .roots import (
 from .verify import run_suites
 
 __all__ = ["main"]
+
+# Verbs whose output is a degree-n polynomial in t1..tk (up to p_k(n) terms)
+# refuse sizes past this many terms before computing anything.
+MAX_TERMS = 10**6
+_POLY_VERBS = ("wip", "gfp", "glp", "hessenberg", "root-gfp", "root-wip", "conv")
 
 
 class _UsageError(Exception):
@@ -238,8 +245,18 @@ def _core_from_args(args) -> CorePolynomial:
 # -- dispatch --------------------------------------------------------------
 
 
+def _check_terms(k: int, n: int) -> None:
+    # Bad k or n is left to the library, which names the problem itself.
+    if k >= 1 and n >= 0 and vector_count(n, k, cap=MAX_TERMS + 1) > MAX_TERMS:
+        raise ValueError(
+            f"refusing n={n}, k={k}: the output would have more than {MAX_TERMS} terms"
+        )
+
+
 def _run(args) -> int:
     verb = args.verb
+    if verb in _POLY_VERBS:
+        _check_terms(args.k, args.n)
     if verb == "wip":
         _poly_out(wip_closed(args.weights, args.k, args.n), args.at, args.format)
     elif verb == "gfp":

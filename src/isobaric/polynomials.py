@@ -15,9 +15,10 @@ no floating point enters anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .partitions import ExponentVector, exponent_vectors, multinomial, weight_dot
+from .partitions import ExponentVector, exponent_vectors
 
 __all__ = [
     "WeightVector",
@@ -118,6 +119,17 @@ class IsobaricPoly:
         self.n = n
         self.k = k
         self._terms = {a: c for a, c in merged.items() if c != 0}
+
+    @classmethod
+    def _trusted(cls, n: int, k: int, terms: dict[ExponentVector, Fraction]) -> "IsobaricPoly":
+        """Adopt ``terms`` without checks: for the closed-formula kernels, whose
+        keys are enumerated vectors of this (n, k) and whose values are
+        nonzero Fractions by construction."""
+        self = cls.__new__(cls)
+        self.n = n
+        self.k = k
+        self._terms = terms
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -285,6 +297,23 @@ class IsobaricPoly:
 # -- the weighted family ---------------------------------------------------
 
 
+def _integer_weights(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """Weights as (D, [W_1, W_2, ...]) with value j = W_j / D, where D is
+    the least common denominator."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+class _Factorials(dict):
+    """i -> i!, each computed on first use: a per-call table holding only the
+    values the call needs (one entry, not n, when a single part size fills
+    degree n)."""
+
+    def __missing__(self, i: int) -> int:
+        self[i] = value = factorial(i)
+        return value
+
+
 def wip_closed(
     omega: Callable[[int], Fraction],
     k: int,
@@ -296,6 +325,11 @@ def wip_closed(
     For n >= 1 the coefficient of t^alpha is
 
         multinomial(alpha) * (sum_j alpha_j * omega(j)) / |alpha|.
+
+    The weights omega(1..min(n, k)) are read once, as integers W_j over a
+    common denominator D, and the multinomials come from one factorial
+    table filled on demand, so each coefficient is the single fraction
+    multinomial(alpha) * (sum_j alpha_j * W_j) / (|alpha| * D).
 
     Degree 0 is a convention, not a consequence of the sum: the default
     constant is omega(k), which is what the recursion seeds need (1 on the
@@ -309,12 +343,20 @@ def wip_closed(
     if n == 0:
         value = Fraction(degree_zero) if degree_zero is not None else Fraction(omega(k))
         return IsobaricPoly.constant(value, k)
+    scale, weights = _integer_weights([Fraction(omega(j)) for j in range(1, min(n, k) + 1)])
+    fact = _Factorials()
     terms = {}
     for alpha in exponent_vectors(n, k):
-        coeff = multinomial(alpha) * weight_dot(alpha, omega) / alpha.norm
-        if coeff != 0:
-            terms[alpha] = coeff
-    return IsobaricPoly(n, k, terms)
+        parts = alpha.norm
+        multinomial = fact[parts]
+        dot = 0
+        for a, w in zip(alpha.multiplicities, weights):
+            if a:
+                multinomial //= fact[a]
+                dot += a * w
+        if dot:
+            terms[alpha] = Fraction(multinomial * dot, parts * scale)
+    return IsobaricPoly._trusted(n, k, terms)
 
 
 def wip_recursive(

@@ -5,8 +5,8 @@ closed form: the coefficient of t^alpha in degree n is the rising factorial
 q(q+1)...(q+|alpha|-1) divided by the product of the multiplicity factorials.
 Three matrix routes recover the same polynomial (determinant, permanent, and
 a variant whose cells are ratios of the factorial operators), and a weighted
-generalization handles arbitrary weight vectors through iterated total
-derivatives in the weights.
+generalization handles arbitrary weight vectors through total derivatives in
+the weights, read off one univariate product per coefficient.
 
 Everything is exact; q may be any Fraction, so "square root of the Fibonacci
 sequence" is literal: the q = 1/2 power convolved with itself returns the
@@ -16,12 +16,11 @@ original sequence.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Sequence
 
 from .hessenberg import Cell, HessenbergMatrix
 from .partitions import ExponentVector, exponent_vectors
-from .polynomials import IsobaricPoly, PolySequence, RationalLike
+from .polynomials import IsobaricPoly, PolySequence, RationalLike, _Factorials, _integer_weights
 
 __all__ = [
     "DegenerateQError",
@@ -31,8 +30,6 @@ __all__ = [
     "gfp_root_matrix",
     "gfp_root_stirling_matrix",
     "gfp_root_sequence",
-    "OmegaPolynomial",
-    "total_derivative",
     "wip_root_coeff",
     "wip_root",
 ]
@@ -85,7 +82,9 @@ def gfp_root_closed(q: RationalLike, k: int, n: int) -> IsobaricPoly:
 
     Coefficient of t^alpha: B_{|alpha|-1}(q) / prod(alpha_i!).  Degree 0 is
     the constant 1 (the convolution identity), q = 1 returns the plain
-    polynomial, q = 0 the identity sequence.
+    polynomial, q = 0 the identity sequence.  The integer numerators
+    b^m B_{m-1}(q) of q = p/b are tabled once per call, for the part
+    counts m that occur.
     """
     q = Fraction(q)
     if n < 0:
@@ -94,15 +93,28 @@ def gfp_root_closed(q: RationalLike, k: int, n: int) -> IsobaricPoly:
         raise ValueError("part bound k must be >= 1")
     if n == 0:
         return IsobaricPoly.constant(1, k)
+    # rising[m] = b^m B_{m-1}(q) = p (p + b) ... (p + (m-1) b) for q = p/b,
+    # kept only for the part counts m >= ceil(n / min(n, k)) that occur.
+    p, b = q.numerator, q.denominator
+    fewest = -(-n // min(n, k))
+    rising = {}
+    num = 1
+    for m in range(1, n + 1):
+        num *= p + (m - 1) * b
+        if m >= fewest:
+            rising[m] = num
+    fact = _Factorials()
     terms = {}
     for alpha in exponent_vectors(n, k):
-        denom = 1
-        for a in alpha.multiplicities:
-            denom *= factorial(a)
-        coeff = stirling_B(alpha.norm - 1, q) / denom
-        if coeff != 0:
-            terms[alpha] = coeff
-    return IsobaricPoly(n, k, terms)
+        parts = alpha.norm
+        num = rising[parts]
+        if num:
+            denom = b**parts
+            for a in alpha.multiplicities:
+                if a > 1:
+                    denom *= fact[a]
+            terms[alpha] = Fraction(num, denom)
+    return IsobaricPoly._trusted(n, k, terms)
 
 
 def gfp_root_matrix(q: RationalLike, k: int, n: int, sign: int = -1) -> HessenbergMatrix:
@@ -173,88 +185,52 @@ def gfp_root_sequence(q: RationalLike, k: int) -> PolySequence:
 # -- weighted roots --------------------------------------------------------
 
 
-class OmegaPolynomial:
-    """Exact polynomial in weight variables w1, w2, ... (sparse, integer keys).
+class _WipRootTables:
+    """Per-call constants of the weighted root formula at one (q, weights).
 
-    Keys are exponent tuples with trailing zeros stripped, so (3, 2) and
-    (3, 2, 0) are the same monomial.  Only the little algebra needed by the
-    total derivative lives here: addition of term maps, the derivative
-    itself, and evaluation at a weight vector.
+    With q = p/b, weights omega(j) = W_j / D and c = b * D, the coefficient
+    of t^alpha (m = |alpha| parts) is N / (c^m prod(alpha_i!)), where
+
+        N = sum_{r=0..m-1} (m-1)!/(m-1-r)! * F[m-1-r] * c^r * e_r,
+
+    F[j] = b^(j+1) B_{-j}(q) = p (p - b) ... (p - j b), and e_r is the
+    coefficient of u^r in prod_i (W_i + u)^alpha_i.  ``row[m][r]`` holds
+    everything in the r-th summand but e_r, for part counts m = fewest..n.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("weights", "c_pow", "fact", "row")
 
-    def __init__(self, terms: Union[Mapping[tuple, RationalLike], Sequence[tuple]] = ()) -> None:
-        merged: dict[tuple[int, ...], Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, c in items:
-            c = Fraction(c)
-            if c == 0:
-                continue
-            key = tuple(exps)
-            while key and key[-1] == 0:
-                key = key[:-1]
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in {key}")
-            merged[key] = merged.get(key, Fraction(0)) + c
-        self._terms = {e: c for e, c in merged.items() if c != 0}
+    def __init__(self, q: Fraction, scale: int, weights: Sequence[int], fewest: int, n: int) -> None:
+        p, b = q.numerator, q.denominator
+        falling = [p]
+        for j in range(1, n):
+            falling.append(falling[-1] * (p - j * b))
+        c = b * scale
+        self.c_pow = c_pow = [1]
+        for _ in range(n):
+            c_pow.append(c_pow[-1] * c)
+        self.row = {}
+        for m in range(fewest, n + 1):
+            row, ratio = [], 1
+            for r in range(m):
+                row.append(ratio * falling[m - 1 - r] * c_pow[r])
+                ratio *= m - 1 - r
+            self.row[m] = row
+        self.weights = weights
+        self.fact = _Factorials()
 
-    @classmethod
-    def monomial(cls, exponents: Sequence[int], coeff: RationalLike = 1) -> "OmegaPolynomial":
-        return cls([(tuple(exponents), coeff)])
-
-    def d1(self) -> "OmegaPolynomial":
-        """Total derivative: sum over variables of e_i * (monomial with the
-        i-th exponent lowered by one)."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self._terms.items():
-            for i, e in enumerate(exps):
-                if e:
-                    lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
-                    while lowered and lowered[-1] == 0:
-                        lowered = lowered[:-1]
-                    out[lowered] = out.get(lowered, Fraction(0)) + c * e
-        return OmegaPolynomial(out)
-
-    def evaluate(self, omega: Callable[[int], Fraction]) -> Fraction:
-        total = Fraction(0)
-        for exps, c in self._terms.items():
-            prod = c
-            for i, e in enumerate(exps, start=1):
-                if e:
-                    prod *= Fraction(omega(i)) ** e
-            total += prod
-        return total
-
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OmegaPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "OmegaPolynomial(0)"
-        bits = []
-        for exps, c in sorted(self._terms.items(), reverse=True):
-            mono = " ".join(f"w{i}^{e}" if e > 1 else f"w{i}" for i, e in enumerate(exps, start=1) if e)
-            bits.append(f"{c} {mono}".strip())
-        return "OmegaPolynomial(" + " + ".join(bits) + ")"
-
-
-def total_derivative(p: OmegaPolynomial, j: int) -> OmegaPolynomial:
-    """j-th iterate of the total derivative (j = 0 returns p unchanged)."""
-    if j < 0:
-        raise ValueError("derivative order must be >= 0")
-    out = p
-    for _ in range(j):
-        out = out.d1()
-    return out
+    def coefficient(self, multiplicities: Sequence[int], m: int) -> Fraction:
+        """Coefficient of t^alpha for the multiplicities of alpha, m = |alpha|."""
+        fact = self.fact
+        e = [1]
+        denom = self.c_pow[m]
+        for a, w in zip(multiplicities, self.weights):
+            if a:
+                if a > 1:
+                    denom *= fact[a]
+                for _ in range(a):
+                    e = [w * x + y for x, y in zip(e + [0], [0] + e)]
+        return Fraction(sum(g * x for g, x in zip(self.row[m], e)), denom)
 
 
 def wip_root_coeff(omega: Callable[[int], Fraction], alpha: ExponentVector, q: RationalLike) -> Fraction:
@@ -267,30 +243,32 @@ def wip_root_coeff(omega: Callable[[int], Fraction], alpha: ExponentVector, q: R
     evaluated at the given weights, where D is the total derivative and
     B_{-j} the descending factorial operator.  The divisor is the product of
     the factorials of the multiplicities, not the factorial of their product.
+
+    The derivatives come from the product identity
+
+        D^r(w^alpha)(omega) = r! * [s^r] prod_i (omega_i + s)^alpha_i,
+
+    Taylor's formula for w^alpha along the all-ones direction, so one
+    univariate integer polynomial per alpha replaces m iterated derivatives.
+    Only the weights of the parts present in alpha are read.
     """
     q = Fraction(q)
     m = alpha.norm
     if m < 1:
         raise ValueError("coefficient formula needs at least one part")
-    denom = 1
-    for a in alpha.multiplicities:
-        denom *= factorial(a)
-    values = []
-    cur = OmegaPolynomial.monomial(alpha.multiplicities)
-    for _ in range(m):
-        values.append(cur.evaluate(omega))
-        cur = cur.d1()
-    total = Fraction(0)
-    for j in range(m):
-        total += comb(m - 1, j) * stirling_B(-j, q) * values[m - 1 - j]
-    return total / denom
+    present = [Fraction(omega(j)) if a else Fraction(0) for j, a in enumerate(alpha, start=1)]
+    scale, weights = _integer_weights(present)
+    return _WipRootTables(q, scale, weights, m, m).coefficient(alpha.multiplicities, m)
 
 
 def wip_root(omega: Callable[[int], Fraction], k: int, n: int, q: RationalLike) -> IsobaricPoly:
     """Degree-n term of the q-th convolution power of the weighted family.
 
     The underlying degree-0 term is 1 (convolution convention).  With all
-    weights equal to 1 this collapses to :func:`gfp_root_closed`.
+    weights equal to 1 this collapses to :func:`gfp_root_closed`.  Each
+    coefficient is the one :func:`wip_root_coeff` gives; the weights
+    omega(1..min(n, k)), the falling factorials b^(j+1) B_{-j}(q) and the
+    other per-call constants are tabled once for all alpha.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -298,9 +276,12 @@ def wip_root(omega: Callable[[int], Fraction], k: int, n: int, q: RationalLike) 
         raise ValueError("part bound k must be >= 1")
     if n == 0:
         return IsobaricPoly.constant(1, k)
+    slots = min(n, k)
+    scale, weights = _integer_weights([Fraction(omega(j)) for j in range(1, slots + 1)])
+    tables = _WipRootTables(Fraction(q), scale, weights, -(-n // slots), n)
     terms = {}
     for alpha in exponent_vectors(n, k):
-        coeff = wip_root_coeff(omega, alpha, q)
-        if coeff != 0:
+        coeff = tables.coefficient(alpha.multiplicities, alpha.norm)
+        if coeff:
             terms[alpha] = coeff
-    return IsobaricPoly(n, k, terms)
+    return IsobaricPoly._trusted(n, k, terms)

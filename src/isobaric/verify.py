@@ -22,7 +22,7 @@ from .multiplicative import (
     recover_core,
     root_verify,
 )
-from .partitions import exponent_vectors
+from .partitions import exponent_vectors, vector_count
 from .polynomials import PolySequence, WeightVector, convolve, gfp, glp
 from .roots import gfp_root_closed, gfp_root_matrix, gfp_root_stirling_matrix
 
@@ -45,7 +45,7 @@ def suite_partitions(max_n: int) -> Result:
             vecs = exponent_vectors(n, k)
             if any(a.degree != n for a in vecs):
                 return False, f"degree drift at n={n}, k={k}"
-            if len(vecs) != _count_partitions(n, k):
+            if len(vecs) != _count_partitions(n, k) or vector_count(n, k) != len(vecs):
                 return False, f"count mismatch at n={n}, k={k}"
             keys = [a.multiplicities for a in vecs]
             if keys != sorted(keys, reverse=True):

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from isobaric import IsobaricPoly, gfp, glp
-from isobaric.cli import main
+from isobaric.cli import _check_terms, main
 
 
 def run(args):
@@ -301,3 +301,43 @@ def test_startup_imports_no_dataclasses():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode() == "[]\n"
+
+
+def _iso(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "isobaric.cli", *argv], capture_output=True, text=True, timeout=timeout
+    )
+
+
+def test_wide_part_bound_prints_without_traceback():
+    # The enumeration recurses over min(n, k) slots only, so k past the
+    # interpreter's recursion limit is fine when n is small.
+    for argv, want in (
+        (("gfp", "--k", "1500", "--n", "1"), "t1\n"),
+        (("root-wip", "--weights", "1", "--q", "1/2", "--k", "1200", "--n", "2"), "3/8 t1^2 + 1/2 t2\n"),
+    ):
+        proc = _iso(*argv)
+        assert (proc.returncode, proc.stdout) == (0, want), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_oversized_output_refused_up_front():
+    # p_80(80) = 15,796,476 terms; the count is predicted, not enumerated.
+    proc = _iso("gfp", "--k", "80", "--n", "80", timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: refusing n=80, k=80: the output would have more than 1000000 terms\n"
+    for args in (
+        ["wip", "--weights", "1,2", "--k", "60", "--n", "70"],
+        ["glp", "--k", "3", "--n", "5000"],
+        ["hessenberg", "--weights", "id", "--k", "90", "--n", "90"],
+        ["root-gfp", "--q", "1/2", "--k", "2", "--n", "10000000", "--method", "det"],
+        ["root-wip", "--weights", "1", "--q", "1/2", "--k", "70", "--n", "70"],
+        ["conv", "--q1", "1/2", "--q2", "1/3", "--k", "10", "--n", "10000"],
+    ):
+        code, out, err = run(args)
+        assert (code, out) == (2, ""), args
+        assert err.startswith("error: refusing") and "more than 1000000 terms" in err
+    # The limit is inclusive: p_2(n) = n//2 + 1 reaches 10^6 at n = 1999998.
+    _check_terms(2, 1999998)
+    with pytest.raises(ValueError):
+        _check_terms(2, 2000000)

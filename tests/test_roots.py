@@ -7,17 +7,17 @@ from isobaric.partitions import ExponentVector
 from isobaric.polynomials import IsobaricPoly, PolySequence, WeightVector, convolve, gfp
 from isobaric.roots import (
     DegenerateQError,
-    OmegaPolynomial,
     gfp_root_closed,
     gfp_root_matrix,
     gfp_root_sequence,
     gfp_root_stirling_matrix,
     stirling1_expand,
     stirling_B,
-    total_derivative,
     wip_root,
     wip_root_coeff,
 )
+
+from helpers import OmegaPolynomial, total_derivative
 
 Q_GRID = (Fraction(1, 2), Fraction(-1), Fraction(2, 3), Fraction(3), Fraction(-5, 2))
 
