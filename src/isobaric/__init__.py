@@ -40,6 +40,7 @@ from .multiplicative import (
     KNOWN_FUNCTIONS,
     LocalMF,
     dirichlet_convolve_local,
+    dirichlet_fold,
     known_function,
     local_power,
     recover_core,
@@ -121,6 +122,7 @@ __all__ = [
     "KNOWN_FUNCTIONS",
     "LocalMF",
     "dirichlet_convolve_local",
+    "dirichlet_fold",
     "known_function",
     "local_power",
     "recover_core",

@@ -4,8 +4,9 @@ Output is deterministic byte-for-byte for fixed arguments: polynomial terms
 print in descending lexicographic order, rationals in lowest terms ("p/q" or
 a bare integer), and JSON uses a fixed two-space indent.  Exit codes: 0 on
 success, 1 on usage errors, 2 on domain errors raised by the library and on
-outputs refused for size (over ``MAX_TERMS`` terms, predicted before any
-work), 3 when a requested verification fails.
+inputs refused for size (past one of the ``MAX_*`` limits below, checked
+before any work), 3 when a requested verification fails.  Integers print in
+full, however many digits they have.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .companion import (
     different_window,
 )
 from .hessenberg import build_minus, build_plus
-from .multiplicative import dirichlet_convolve_local, known_function, local_power
+from .multiplicative import dirichlet_fold, known_function, local_power
 from .partitions import vector_count
-from .polynomials import IsobaricPoly, WeightVector, convolve, wip_closed
+from .polynomials import IsobaricPoly, WeightVector, convolve, gfp, glp, wip_closed
 from .roots import (
     gfp_root_closed,
     gfp_root_matrix,
@@ -44,6 +45,17 @@ __all__ = ["main"]
 # refuse sizes past this many terms before computing anything.
 MAX_TERMS = 10**6
 _POLY_VERBS = ("wip", "gfp", "glp", "hessenberg", "root-gfp", "root-wip", "conv")
+# The other loops whose length an argument sets, each sized so the largest
+# accepted input runs in seconds: the Hessenberg grid side n and its sweep's
+# term steps, n * min(n, k) * p_k(n); the orbit cells (k per row, counted
+# from row 0) a companion or different window computes, where a generic
+# window must also hold at most MAX_TERMS terms; the truncation N of mf and
+# mf-root; and the value products of mf-root --verify M, (M - 1) * (N + 1)^2.
+MAX_HESSENBERG_N = 300
+MAX_HESSENBERG_STEPS = 500_000
+MAX_WINDOW_CELLS = 20_000
+MAX_MF_N = 1000
+MAX_FOLD_PRODUCTS = 250_000
 
 
 class _UsageError(Exception):
@@ -253,16 +265,55 @@ def _check_terms(k: int, n: int) -> None:
         )
 
 
-def _run(args) -> int:
+def _check_sizes(args) -> None:
+    """Refuse, before any work, inputs past the size limits above."""
     verb = args.verb
     if verb in _POLY_VERBS:
         _check_terms(args.k, args.n)
+    if verb == "hessenberg" and args.n > MAX_HESSENBERG_N:
+        raise ValueError(f"refusing n={args.n}: matrices are limited to {MAX_HESSENBERG_N} rows")
+    if verb == "hessenberg" and args.n >= 1 and args.k >= 1:
+        # p_k(n) <= MAX_TERMS here: _check_terms passed.
+        if args.n * min(args.n, args.k) * vector_count(args.n, args.k) > MAX_HESSENBERG_STEPS:
+            raise ValueError(
+                f"refusing n={args.n}, k={args.k}: the sweep would take more than "
+                f"{MAX_HESSENBERG_STEPS} term steps"
+            )
+    if verb in ("companion", "different") and args.rows is not None:
+        lo, hi = args.rows
+        k = len(args.core) if args.core is not None else (args.k or 0)
+        cells = (max(hi, 0) - min(lo, 0) + 1) * k
+        if cells > MAX_WINDOW_CELLS:
+            raise ValueError(
+                f"refusing rows {lo}..{hi}, k={k}: the orbit would run through {cells} cells, "
+                f"over the limit of {MAX_WINDOW_CELLS}"
+            )
+        # A generic cell has at most the terms of the top degree hi + k - 1.
+        if args.core is None and k >= 1 and hi + k >= 1:
+            if cells * vector_count(hi + k - 1, k, cap=MAX_TERMS + 1) > MAX_TERMS:
+                raise ValueError(
+                    f"refusing rows {lo}..{hi}, k={k}: the orbit would hold more than {MAX_TERMS} terms"
+                )
+    if verb in ("mf", "mf-root") and args.N > MAX_MF_N:
+        raise ValueError(f"refusing N={args.N}: truncations are limited to N <= {MAX_MF_N}")
+    if verb == "mf-root" and args.verify is not None:
+        products = (args.verify - 1) * (args.N + 1) ** 2
+        if products > MAX_FOLD_PRODUCTS:
+            raise ValueError(
+                f"refusing --verify {args.verify} at N={args.N}: the reconvolution needs "
+                f"{products} value products, over the limit of {MAX_FOLD_PRODUCTS}"
+            )
+
+
+def _run(args) -> int:
+    verb = args.verb
+    _check_sizes(args)
     if verb == "wip":
         _poly_out(wip_closed(args.weights, args.k, args.n), args.at, args.format)
     elif verb == "gfp":
-        _poly_out(wip_closed(WeightVector.ones(), args.k, args.n, degree_zero=1), args.at, args.format)
+        _poly_out(gfp(args.k, args.n), args.at, args.format)
     elif verb == "glp":
-        _poly_out(wip_closed(WeightVector.naturals(), args.k, args.n, degree_zero=args.k), args.at, args.format)
+        _poly_out(glp(args.k, args.n), args.at, args.format)
     elif verb == "hessenberg":
         build = build_plus if args.sign == "plus" else build_minus
         matrix = build(args.weights, args.k, args.n)
@@ -320,10 +371,7 @@ def _run(args) -> int:
         if args.verify is not None:
             if args.verify < 1:
                 raise ValueError("--verify takes a fold count >= 1")
-            acc = root
-            for _ in range(args.verify - 1):
-                acc = dirichlet_convolve_local(acc, root)
-            verified = acc == f
+            verified = dirichlet_fold(root, args.verify) == f
         if args.format == "json":
             payload = {"fn": f.label, "p": args.p, "q": str(args.q), "values": [str(v) for v in root.values]}
             if verified is not None:
@@ -388,7 +436,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
+    # Coefficients may pass the interpreter's int-to-str digit limit; argv
+    # above was parsed with the limit in place.
+    digits = getattr(sys, "get_int_max_str_digits", None)
+    limit = digits() if digits else None
     try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         return _run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -396,6 +450,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

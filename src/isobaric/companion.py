@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .polynomials import IsobaricPoly, RationalLike, gfp
+from .polynomials import IsobaricPoly, RationalLike
 
 __all__ = [
     "SingularCoreError",
@@ -49,6 +49,11 @@ class CorePolynomial:
 
     ``coefficients`` holds exact values (t1, ..., tk) for a numeric core, or
     None for the generic symbolic core in k indeterminates.
+
+    The core fixes the entry ring of everything computed from it: Fractions
+    for a numeric core, ``IsobaricPoly`` for the generic one.  ``constant``
+    and ``times_t`` are the only ring-dependent operations; the orbit and
+    Newton code is written once on them and plain ``+``, ``-``, ``*``.
     """
 
     def __init__(self, k: int, coefficients: Sequence[RationalLike] | None = None) -> None:
@@ -100,6 +105,20 @@ class CorePolynomial:
             raise ValueError(f"coefficient index {j} outside 1..{self.k}")
         return self.coefficients[j - 1]
 
+    def constant(self, c: RationalLike, degree: int) -> Entry:
+        """The constant c as an entry of isobaric degree ``degree``; numeric
+        cores ignore the degree, and generic ones allow nonzero c at 0 only."""
+        if self.is_numeric:
+            return Fraction(c)
+        return IsobaricPoly(degree, self.k, [((0,) * self.k, c)])
+
+    def times_t(self, x: Entry, j: int) -> Entry:
+        """x * t_j, 1 <= j <= k: a product for a numeric core, a shift of the
+        exponent vectors (``times_part``) for the generic one."""
+        if self.is_numeric:
+            return x * self.t(j)
+        return x.times_part(j)
+
 
 # -- the orbit -------------------------------------------------------------
 
@@ -107,21 +126,10 @@ class CorePolynomial:
 def _forward_step(core: CorePolynomial, prev: tuple[Entry, ...]) -> tuple[Entry, ...]:
     """One application of the row map r -> r A."""
     k = core.k
-    out: list[Entry] = []
-    if core.is_numeric:
-        pk = prev[k - 1]
-        for j in range(1, k + 1):
-            v = pk * core.t(k - j + 1)
-            if j >= 2:
-                v += prev[j - 2]
-            out.append(v)
-    else:
-        pk = prev[k - 1]
-        for j in range(1, k + 1):
-            v = pk.times_part(k - j + 1)
-            if j >= 2:
-                v = v + prev[j - 2]
-            out.append(v)
+    pk = prev[k - 1]
+    out = [core.times_t(pk, k)]
+    for j in range(2, k + 1):
+        out.append(core.times_t(pk, k - j + 1) + prev[j - 2])
     return tuple(out)
 
 
@@ -136,25 +144,15 @@ def _backward_step(core: CorePolynomial, nxt: tuple[Entry, ...]) -> tuple[Entry,
     return tuple(prev)
 
 
-def _symbolic_zero(k: int, degree: int) -> IsobaricPoly:
-    return IsobaricPoly.zero(degree, k)
-
-
 def _seed_rows_companion(core: CorePolynomial) -> dict[int, tuple[Entry, ...]]:
     """Identity rows: window row j - k is the j-th standard basis row."""
     k = core.k
-    rows: dict[int, tuple[Entry, ...]] = {}
-    for n in range(1 - k, 1):
-        if core.is_numeric:
-            rows[n] = tuple(Fraction(1) if j == n + k else Fraction(0) for j in range(1, k + 1))
-        else:
-            # Entry (n, j) is isobaric of degree n + k - j; the 1 sits where
-            # that degree is zero.
-            rows[n] = tuple(
-                IsobaricPoly.constant(1, k) if j == n + k else _symbolic_zero(k, n + k - j)
-                for j in range(1, k + 1)
-            )
-    return rows
+    # Entry (n, j) is isobaric of degree n + k - j; the 1 sits where that
+    # degree is zero.
+    return {
+        n: tuple(core.constant(int(j == n + k), n + k - j) for j in range(1, k + 1))
+        for n in range(1 - k, 1)
+    }
 
 
 def _seed_row_different(core: CorePolynomial) -> tuple[Entry, ...]:
@@ -167,11 +165,8 @@ def _seed_row_different(core: CorePolynomial) -> tuple[Entry, ...]:
     them only goes unnoticed at k <= 2.
     """
     k = core.k
-    if core.is_numeric:
-        return tuple(-j * core.t(k - j) for j in range(1, k)) + (Fraction(k),)
-    cells: list[Entry] = [IsobaricPoly.variable(k - j, k).scale(-j) for j in range(1, k)]
-    cells.append(IsobaricPoly.constant(k, k))
-    return tuple(cells)
+    cells = [core.times_t(core.constant(-j, 0), k - j) for j in range(1, k)]
+    return (*cells, core.constant(k, 0))
 
 
 def _fill(
@@ -303,37 +298,28 @@ def schur_hook(core: CorePolynomial, n: int, r: int) -> Entry:
         raise ValueError(f"hook arm {r} outside 0..{k - 1}")
     w = companion_window(core, min(n, 1 - k), max(n, 0))
     e = w.entry(n, k - r)
-    if r % 2:
-        return -e if isinstance(e, Fraction) else e.scale(-1)
-    return e
+    return -e if r % 2 else e
 
 
 def glp_from_gfp(core: CorePolynomial, N: int) -> list[Entry]:
     """Lucas-side values G_1..G_N from Fibonacci-side ones via the Newton
     identity n F_n = sum_{i=1..n} G_i F_{n-i}, rearranged to solve for G_n.
 
-    Numeric cores give Fractions, the generic core gives polynomials; either
-    way the arithmetic is exact division-free recursion.
+    F_0..F_N are read off the rightmost column of the companion window, so a
+    numeric core costs O(N k) steps for them plus O(N^2) for the identity,
+    with no polynomial built.  Numeric cores give Fractions, the generic core
+    gives polynomials; either way the arithmetic is exact and division-free.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    k = core.k
+    w = companion_window(core, 0, N)
+    F = [w.rightmost(n) for n in range(N + 1)]
     out: list[Entry] = []
-    if core.is_numeric:
-        ts = core.coefficients
-        F = [gfp(k, n).evaluate(ts) for n in range(N + 1)]
-        for n in range(1, N + 1):
-            g = n * F[n]
-            for i in range(1, n):
-                g -= out[i - 1] * F[n - i]
-            out.append(g)
-    else:
-        F = [gfp(k, n) for n in range(N + 1)]
-        for n in range(1, N + 1):
-            g = F[n].scale(n)
-            for i in range(1, n):
-                g = g - out[i - 1] * F[n - i]
-            out.append(g)
+    for n in range(1, N + 1):
+        g = n * F[n]
+        for i in range(1, n):
+            g = g - out[i - 1] * F[n - i]
+        out.append(g)
     return out
 
 
@@ -355,6 +341,6 @@ def dense_det(rows: Sequence[Sequence[Entry]]) -> Entry:
         minor = [[r[c] for c in range(n) if c != j] for r in rows[1:]]
         term = rows[0][j] * dense_det(minor)
         if j % 2:
-            term = -term if isinstance(term, Fraction) else term.scale(-1)
+            term = -term
         acc = term if acc is None else acc + term
     return acc

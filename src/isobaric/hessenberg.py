@@ -183,29 +183,29 @@ def hessenberg_value(matrix: HessenbergMatrix) -> Union[Fraction, IsobaricPoly]:
     the same plain recursion serves both.  Runs in O(n^2) cell operations.
 
     A numeric matrix yields a Fraction; a symbolic one yields the isobaric
-    polynomial of degree n (each row is one degree step).
+    polynomial of degree n (each row is one degree step).  One sweep serves
+    both entry rings; only its unit and zeros depend on the ring.  A t cell
+    multiplies by t_m through ``times_part`` and zero cells are skipped.
     """
-    n = matrix.n
+    n, k = matrix.n, matrix.k
     if matrix.is_numeric:
-        minors: list[Fraction] = [Fraction(1)]
-        for i in range(1, n + 1):
-            total = Fraction(0)
-            for j in range(1, i + 1):
-                cell = matrix.rows[i - 1][i - j]
-                total += cell.coeff * minors[i - j]
-            minors.append(total)
-        return minors[n]
-    pminors: list[IsobaricPoly] = [IsobaricPoly.constant(1, matrix.k)]
+        minors: list[Union[Fraction, IsobaricPoly]] = [Fraction(1)]
+        zeros = [Fraction(0)] * (n + 1)
+    else:
+        if any(c.coeff and c.t is None for row in matrix.rows for c in row):
+            raise ValueError("constant nonzero cell below the superdiagonal breaks the grading")
+        minors = [IsobaricPoly.constant(1, k)]
+        zeros = [IsobaricPoly.zero(i, k) for i in range(n + 1)]
     for i in range(1, n + 1):
-        acc = IsobaricPoly.zero(i, matrix.k)
-        for j in range(1, i + 1):
-            cell = matrix.rows[i - 1][i - j]
-            if cell.coeff != 0:
-                if cell.t is None:
-                    raise ValueError("constant nonzero cell below the superdiagonal breaks the grading")
-                acc = acc + pminors[i - j].times_part(cell.t).scale(cell.coeff)
-        pminors.append(acc)
-    return pminors[n]
+        acc = zeros[i]
+        # Cell (i, c + 1) multiplies M_c.
+        for cell, minor in zip(matrix.rows[i - 1], minors):
+            if cell.coeff:
+                if cell.t is not None:
+                    minor = minor.times_part(cell.t)
+                acc = acc + cell.coeff * minor
+        minors.append(acc)
+    return minors[n]
 
 
 def rep_check(omega: Callable[[int], Fraction], k: int, n: int) -> bool:

@@ -22,6 +22,7 @@ from .polynomials import RationalLike
 __all__ = [
     "LocalMF",
     "dirichlet_convolve_local",
+    "dirichlet_fold",
     "recover_core",
     "local_power",
     "known_function",
@@ -91,6 +92,18 @@ def dirichlet_convolve_local(a: LocalMF, b: LocalMF) -> LocalMF:
         for n in range(a.truncation + 1)
     )
     return LocalMF(vals, f"{a.label}*{b.label}")
+
+
+def dirichlet_fold(f: LocalMF, m: int) -> LocalMF:
+    """f convolved with itself to m factors (m >= 1), by m - 1 plain Cauchy
+    products: the reconvolution behind ``root_verify`` and ``iso mf-root
+    --verify``, independent of the root machinery."""
+    if m < 1:
+        raise ValueError("fold count m must be >= 1")
+    acc = f
+    for _ in range(m - 1):
+        acc = dirichlet_convolve_local(acc, f)
+    return acc
 
 
 def recover_core(f: LocalMF) -> tuple[Fraction, ...]:
@@ -177,13 +190,10 @@ def known_function(name: str, p: int, N: int) -> LocalMF:
 def root_verify(f: LocalMF, m: int) -> bool:
     """Convolve the m-th root of f with itself m times and compare to f.
 
-    The reconvolution is done with the plain Cauchy product, independently
-    of the polynomial machinery that produced the root.
+    The reconvolution is done with the plain Cauchy product
+    (``dirichlet_fold``), independently of the recurrence that produced the
+    root.
     """
     if m < 1:
         raise ValueError("root index m must be >= 1")
-    root = local_power(f, Fraction(1, m))
-    acc = root
-    for _ in range(m - 1):
-        acc = dirichlet_convolve_local(acc, root)
-    return acc == f
+    return dirichlet_fold(local_power(f, Fraction(1, m)), m) == f

@@ -205,6 +205,13 @@ class IsobaricPoly:
         c = Fraction(c)
         return IsobaricPoly(self.n, self.k, {a: v * c for a, v in self._terms.items()})
 
+    def __rmul__(self, c: Union[int, Fraction]) -> "IsobaricPoly":
+        """``c * p`` for an int or Fraction scalar, so polynomials and
+        Fractions serve alike as matrix and orbit entries."""
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        return self.scale(c)
+
     def times_part(self, j: int) -> "IsobaricPoly":
         """Multiply by t_j, raising the degree by j.
 
@@ -222,9 +229,9 @@ class IsobaricPoly:
             terms[ExponentVector(tuple(mult))] = c
         return IsobaricPoly(self.n + j, self.k, terms)
 
-    def __mul__(self, other: "IsobaricPoly") -> "IsobaricPoly":
+    def __mul__(self, other: Union["IsobaricPoly", int, Fraction]) -> "IsobaricPoly":
         if not isinstance(other, IsobaricPoly):
-            return NotImplemented
+            return self.__rmul__(other)
         if self.k != other.k:
             raise ValueError(f"variable count mismatch: k={self.k} vs k={other.k}")
         terms: dict[ExponentVector, Fraction] = {}

@@ -3,7 +3,8 @@
 Each suite replays a family of identities with an independent cross-check
 (recursive partition counts, matrix powers, reconvolution) and reports the
 first counterexample it finds.  These run fast at the default bound and are
-meant as a smoke harness, not a replacement for the test suite.
+meant as a smoke harness, not a replacement for the test suite, which shares
+the naive oracles defined here (``partition_count`` and ``mat_pow``).
 """
 
 from __future__ import annotations
@@ -26,17 +27,18 @@ from .partitions import exponent_vectors, vector_count
 from .polynomials import PolySequence, WeightVector, convolve, gfp, glp
 from .roots import gfp_root_closed, gfp_root_matrix, gfp_root_stirling_matrix
 
-__all__ = ["SUITES", "run_suite", "run_suites"]
+__all__ = ["SUITES", "run_suite", "run_suites", "partition_count", "mat_pow"]
 
 Result = tuple[bool, str]
 
 
-def _count_partitions(n: int, k: int) -> int:
+def partition_count(n: int, k: int) -> int:
+    """p(n, parts <= k) by the textbook two-way recursion."""
     if n == 0:
         return 1
     if k == 0 or n < 0:
         return 0
-    return _count_partitions(n, k - 1) + _count_partitions(n - k, k)
+    return partition_count(n, k - 1) + partition_count(n - k, k)
 
 
 def suite_partitions(max_n: int) -> Result:
@@ -45,7 +47,7 @@ def suite_partitions(max_n: int) -> Result:
             vecs = exponent_vectors(n, k)
             if any(a.degree != n for a in vecs):
                 return False, f"degree drift at n={n}, k={k}"
-            if len(vecs) != _count_partitions(n, k) or vector_count(n, k) != len(vecs):
+            if len(vecs) != partition_count(n, k) or vector_count(n, k) != len(vecs):
                 return False, f"count mismatch at n={n}, k={k}"
             keys = [a.multiplicities for a in vecs]
             if keys != sorted(keys, reverse=True):
@@ -93,6 +95,7 @@ def _mat_mul(a, b):
 
 
 def _mat_inv(a):
+    """Gauss-Jordan with exact pivoting; raises on singular input."""
     k = len(a)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(a)]
     for col in range(k):
@@ -109,10 +112,11 @@ def _mat_inv(a):
     return [row[k:] for row in aug]
 
 
-def _mat_pow(a, m: int):
+def mat_pow(a, m: int):
+    """a^m by repeated products; negative m inverts by Gauss-Jordan first."""
     k = len(a)
     if m < 0:
-        return _mat_pow(_mat_inv(a), -m)
+        return mat_pow(_mat_inv(a), -m)
     out = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     for _ in range(m):
         out = _mat_mul(out, a)
@@ -124,7 +128,7 @@ def suite_companion(max_n: int) -> Result:
     a = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)]]
     w = companion_window(core, -2 - core.k + 1, max_n)
     for m in range(-2, max_n + 1):
-        if w.block(m) != _mat_pow(a, m):
+        if w.block(m) != mat_pow(a, m):
             return False, f"block {m} is not the matrix power"
     for m in range(0, max_n + 1):
         if w.block_trace(m) != glp(2, m).evaluate((1, 1)):

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: brute-force enumeration, O(n!)
 determinants and permanents, Gauss-Jordan inversion, iterated total
 derivatives.  None of it reuses the library's own recursions, so agreement
-is evidence rather than tautology.
+is evidence rather than tautology.  ``partition_count`` and ``mat_pow`` are
+the oracles ``iso verify`` runs, kept once in ``isobaric.verify`` and
+re-exported here.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import operator
 from fractions import Fraction
 from math import comb, factorial
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
+
+from isobaric.verify import mat_pow, partition_count  # noqa: F401
 
 if TYPE_CHECKING:
     from isobaric.partitions import ExponentVector
@@ -36,15 +40,6 @@ def brute_force_vectors(n: int, k: int) -> set[tuple[int, ...]]:
         if rest >= 0:
             out.add((rest,) + tail)
     return out
-
-
-def partition_count(n: int, k: int) -> int:
-    """p(n, parts <= k) by the textbook two-way recursion."""
-    if n == 0:
-        return 1
-    if n < 0 or k == 0:
-        return 0
-    return partition_count(n, k - 1) + partition_count(n - k, k)
 
 
 def perm_parity(perm: tuple[int, ...]) -> int:
@@ -84,45 +79,6 @@ def naive_perm(rows: list[list[Fraction]]) -> Fraction:
                 break
         total += prod
     return total
-
-
-def mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    return [
-        [sum((a[i][l] * b[l][j] for l in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def mat_identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_inv(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gauss-Jordan with exact pivoting; raises on singular input."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = Fraction(1) / aug[col][col]
-        aug[col] = [x * scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def mat_pow(a: list[list[Fraction]], m: int) -> list[list[Fraction]]:
-    if m < 0:
-        return mat_pow(mat_inv(a), -m)
-    out = mat_identity(len(a))
-    for _ in range(m):
-        out = mat_mul(out, a)
-    return out
 
 
 # -- weighted roots by iterated total derivatives ----------------------------

@@ -3,6 +3,8 @@ import contextlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -341,3 +343,66 @@ def test_oversized_output_refused_up_front():
     _check_terms(2, 1999998)
     with pytest.raises(ValueError):
         _check_terms(2, 2000000)
+
+
+def test_unbounded_loops_refused_up_front():
+    # Each ran until killed before the size limits existed; a term count
+    # cannot catch them (one term, or no polynomial at all).
+    for argv, what in (
+        (("hessenberg", "--weights", "1", "--k", "1", "--n", "100000"), "limited to 300 rows"),
+        (("companion", "--core", "1,1", "--rows", "0..100000000"), "over the limit of 20000"),
+        (("mf", "--fn", "zeta", "--N", "100000000"), "limited to N <= 1000"),
+        (("mf-root", "--fn", "zeta", "--N", "3", "--q", "1/2", "--verify", "1000000000"), "over the limit of 250000"),
+    ):
+        proc = _iso(*argv, timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert proc.stderr.startswith("error: refusing") and what in proc.stderr, proc.stderr
+
+
+def test_size_limits_at_their_edges():
+    # Cheap inputs right at each limit pass; one step past it is refused.
+    assert out_of(["mf", "--fn", "epsilon", "--N", "1000"]) == "1" + ",0" * 1000 + "\n"
+    assert out_of(["companion", "--core", "0,1", "--rows", "-9999..0"]).endswith("row 0:  0  1\n")
+    assert out_of(["mf-root", "--fn", "epsilon", "--N", "3", "--q", "1/2", "--verify", "15626"]).endswith("PASS\n")
+    for args in (
+        ["mf-root", "--fn", "epsilon", "--N", "1001", "--q", "1/2"],
+        ["companion", "--core", "0,1", "--rows", "-10000..0"],
+        ["different", "--core", "0,1", "--rows", "1..10000"],
+        ["mf-root", "--fn", "epsilon", "--N", "3", "--q", "1/2", "--verify", "15627"],
+        ["hessenberg", "--weights", "1", "--k", "1", "--n", "301"],
+        # n * min(n, k) * p_k(n) = 126 * 3 * 1387 term steps
+        ["hessenberg", "--weights", "1", "--k", "3", "--n", "126"],
+        # a generic window holds up to (rows * k) * p_k(hi + k - 1) terms
+        ["companion", "--k", "5", "--rows", "0..60"],
+    ):
+        code, out, err = run(args)
+        assert (code, out) == (2, ""), args
+        assert err.startswith("error: refusing"), (args, err)
+    assert run(["hessenberg", "--weights", "1", "--k", "3", "--n", "40"])[0] == 0
+    # Bad values are still left to the library's own messages.
+    assert run(["mf-root", "--fn", "zeta", "--N", "3", "--q", "1/2", "--verify", "0"])[2] == (
+        "error: --verify takes a fold count >= 1\n"
+    )
+
+
+def test_coefficients_past_the_int_digit_limit_print_in_full():
+    # [t1^n] of the 1/2 power is C(2n, n) / 4^n: over 12,000 digits at n = 20000.
+    proc = _iso("root-gfp", "--q", "1/2", "--k", "1", "--n", "20000", timeout=60)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    coeff, mono = proc.stdout.split(" ")
+    assert mono == "t1^20000\n"
+    if hasattr(sys, "set_int_max_str_digits"):
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            assert coeff == str(Fraction(comb(40000, 20000), 4**20000))
+            # main() lifts the limit for its output only: argv parsing and
+            # the caller keep theirs.
+            sys.set_int_max_str_digits(4300)
+            assert run(["root-gfp", "--q", "1/2", "--k", "1", "--n", "1"])[0] == 0
+            assert sys.get_int_max_str_digits() == 4300
+            code, out, err = run(["root-gfp", "--q", "9" * 4301, "--k", "1", "--n", "1"])
+            assert (code, out) == (1, "") and err.startswith("usage error:")
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
