@@ -150,8 +150,14 @@ def _phi_values(p: int, N: int) -> tuple[Fraction, ...]:
 
 
 def _sigma_values(p: int, N: int) -> tuple[Fraction, ...]:
-    # sigma(p^n) = 1 + p + ... + p^n
-    return tuple(Fraction(sum(p**i for i in range(n + 1))) for n in range(N + 1))
+    # sigma(p^n) = 1 + p + ... + p^n, as a running sum of the powers
+    vals = []
+    power = total = 1
+    for _ in range(N + 1):
+        vals.append(Fraction(total))
+        power *= p
+        total += power
+    return tuple(vals)
 
 
 KNOWN_FUNCTIONS = ("zeta", "epsilon", "mobius", "phi", "sigma", "tau", "id")

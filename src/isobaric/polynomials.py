@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .partitions import ExponentVector, exponent_vectors
@@ -96,6 +97,12 @@ class IsobaricPoly:
     variable counts in arithmetic raises rather than coercing.  A zero
     polynomial may carry any integer degree tag, including a negative one
     (the companion window's seed rows need that).
+
+    The public constructor validates every term.  The arithmetic (``+``,
+    ``-``, ``scale``, ``times_part``, ``*``) does not: degrees and part
+    counts simply add, so it builds its results through :meth:`_trusted`
+    and drops the keys whose coefficients cancel, which keeps equality and
+    hashing the same as for a validated rebuild.
     """
 
     __slots__ = ("n", "k", "_terms")
@@ -122,9 +129,10 @@ class IsobaricPoly:
 
     @classmethod
     def _trusted(cls, n: int, k: int, terms: dict[ExponentVector, Fraction]) -> "IsobaricPoly":
-        """Adopt ``terms`` without checks: for the closed-formula kernels, whose
-        keys are enumerated vectors of this (n, k) and whose values are
-        nonzero Fractions by construction."""
+        """Adopt ``terms`` without checks.  The caller guarantees that every
+        key is an ``ExponentVector`` of this (n, k) and every value a nonzero
+        Fraction: the closed-formula kernels, whose keys are enumerated, and
+        the arithmetic below, whose keys are sums of valid keys."""
         self = cls.__new__(cls)
         self.n = n
         self.k = k
@@ -190,8 +198,16 @@ class IsobaricPoly:
         self._check_compatible(other)
         terms = dict(self._terms)
         for alpha, c in other._terms.items():
-            terms[alpha] = terms.get(alpha, Fraction(0)) + c
-        return IsobaricPoly(self.n, self.k, terms)
+            s = terms.get(alpha)
+            if s is None:
+                terms[alpha] = c
+            else:
+                s += c
+                if s:
+                    terms[alpha] = s
+                else:
+                    del terms[alpha]
+        return IsobaricPoly._trusted(self.n, self.k, terms)
 
     def __neg__(self) -> "IsobaricPoly":
         return self.scale(-1)
@@ -203,7 +219,15 @@ class IsobaricPoly:
 
     def scale(self, c: RationalLike) -> "IsobaricPoly":
         c = Fraction(c)
-        return IsobaricPoly(self.n, self.k, {a: v * c for a, v in self._terms.items()})
+        if c == 1:
+            return self
+        if c == -1:
+            terms = {a: -v for a, v in self._terms.items()}
+        elif c:
+            terms = {a: v * c for a, v in self._terms.items()}
+        else:
+            terms = {}
+        return IsobaricPoly._trusted(self.n, self.k, terms)
 
     def __rmul__(self, c: Union[int, Fraction]) -> "IsobaricPoly":
         """``c * p`` for an int or Fraction scalar, so polynomials and
@@ -220,40 +244,62 @@ class IsobaricPoly:
         """
         if j < 1:
             raise ValueError("part indices start at 1")
+        n = self.n + j
         if j > self.k:
-            return IsobaricPoly(self.n + j, self.k)
+            return IsobaricPoly._trusted(n, self.k, {})
+        i = j - 1
+        trusted = ExponentVector._trusted
         terms = {}
         for alpha, c in self._terms.items():
-            mult = list(alpha.multiplicities)
-            mult[j - 1] += 1
-            terms[ExponentVector(tuple(mult))] = c
-        return IsobaricPoly(self.n + j, self.k, terms)
+            m = alpha.multiplicities
+            terms[trusted(m[:i] + (m[i] + 1,) + m[j:], n, alpha.norm + 1)] = c
+        return IsobaricPoly._trusted(n, self.k, terms)
 
     def __mul__(self, other: Union["IsobaricPoly", int, Fraction]) -> "IsobaricPoly":
         if not isinstance(other, IsobaricPoly):
             return self.__rmul__(other)
         if self.k != other.k:
             raise ValueError(f"variable count mismatch: k={self.k} vs k={other.k}")
-        terms: dict[ExponentVector, Fraction] = {}
+        right = [(b.multiplicities, cb) for b, cb in other._terms.items()]
+        acc: dict[tuple[int, ...], Fraction] = {}
         for a, ca in self._terms.items():
-            for b, cb in other._terms.items():
-                key = ExponentVector(tuple(x + y for x, y in zip(a.multiplicities, b.multiplicities)))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return IsobaricPoly(self.n + other.n, self.k, terms)
+            ma = a.multiplicities
+            for mb, cb in right:
+                key = tuple(map(add, ma, mb))
+                s = acc.get(key)
+                acc[key] = ca * cb if s is None else s + ca * cb
+        n = self.n + other.n
+        trusted = ExponentVector._trusted
+        terms = {trusted(key, n, sum(key)): c for key, c in acc.items() if c}
+        return IsobaricPoly._trusted(n, self.k, terms)
 
     def evaluate(self, values: Sequence[RationalLike]) -> Fraction:
-        """Substitute exact rationals for t1..tk."""
+        """Substitute exact rationals for t1..tk.
+
+        One integer sum: with t_j = A_j / D over the common denominator D of
+        the values and L the common denominator of the coefficients, the
+        term c * t^alpha contributes (c * L) * A^alpha * D^(top - |alpha|),
+        where top is the largest |alpha|, and the result is that sum over
+        L * D^top.  Powers of each A_j and of D are computed once each.
+        """
         if len(values) < self.k:
             raise ValueError(f"need {self.k} values, got {len(values)}")
-        vals = [Fraction(v) for v in values[: self.k]]
-        total = Fraction(0)
+        if not self._terms:
+            return Fraction(0)
+        d, nums = _integer_weights([Fraction(v) for v in values[: self.k]])
+        powers = [_Powers(a) for a in nums]
+        d_powers = _Powers(d)
+        denom = lcm(*(c.denominator for c in self._terms.values()))
+        top = max(alpha.norm for alpha in self._terms)
+        total = 0
         for alpha, c in self._terms.items():
-            prod = c
-            for v, a in zip(vals, alpha.multiplicities):
+            prod = c.numerator * (denom // c.denominator)
+            for power, a in zip(powers, alpha.multiplicities):
                 if a:
-                    prod *= v**a
-            total += prod
-        return total
+                    prod *= power[a]
+            if prod:
+                total += prod * d_powers[top - alpha.norm]
+        return Fraction(total, denom * d_powers[top])
 
     # -- rendering ---------------------------------------------------------
 
@@ -305,10 +351,24 @@ class IsobaricPoly:
 
 
 def _integer_weights(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """Weights as (D, [W_1, W_2, ...]) with value j = W_j / D, where D is
-    the least common denominator."""
+    """Weights (or any values) as (D, [W_1, W_2, ...]) with value j = W_j / D,
+    where D is the least common denominator."""
     scale = lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+class _Powers(dict):
+    """e -> base**e, each computed on first use."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: int) -> None:
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, e: int) -> int:
+        self[e] = value = self.base**e
+        return value
 
 
 class _Factorials(dict):

@@ -152,7 +152,9 @@ def gfp_root_stirling_matrix(q: RationalLike, k: int, n: int) -> HessenbergMatri
     column i-j+1 for j < i, and s_i = B_0(q) t_i in column 1.  Since
     B_m(q)/B_{m-1}(q) = q + m wherever defined, the cells agree with
     :func:`gfp_root_matrix`; the ratios blow up exactly when q is an integer
-    in 0, -1, ..., -(n-2), and that raises :class:`DegenerateQError`.
+    in 0, -1, ..., -(n-2), and that raises :class:`DegenerateQError`.  The
+    values B_0(q), ..., B_{n-1}(q) are tabled once per call, each from the
+    one before, and every cell divides two of them.
     """
     q = Fraction(q)
     if n < 1:
@@ -161,6 +163,9 @@ def gfp_root_stirling_matrix(q: RationalLike, k: int, n: int) -> HessenbergMatri
         raise DegenerateQError(
             f"B-ratio cells undefined at q={q} for size {n}: a denominator B_m(q) vanishes"
         )
+    B = [q]
+    for m in range(1, n):
+        B.append(B[-1] * (q + m))
     rows = []
     for i in range(1, n + 1):
         row = []
@@ -169,9 +174,9 @@ def gfp_root_stirling_matrix(q: RationalLike, k: int, n: int) -> HessenbergMatri
             if j > k:
                 row.append(Cell.make(0))
             elif j == i:
-                row.append(Cell.make(stirling_B(0, q), i))
+                row.append(Cell.make(B[0], i))
             else:
-                ratio = stirling_B(i - j, q) / stirling_B(i - j - 1, q)
+                ratio = B[i - j] / B[i - j - 1]
                 row.append(Cell.make(Fraction(j * ratio - (i - j) * (j - 1), i), j))
         rows.append(row)
     return HessenbergMatrix(n, k, -1, rows, symbolic=True)

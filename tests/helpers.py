@@ -2,10 +2,10 @@
 
 Everything here is deliberately naive: brute-force enumeration, O(n!)
 determinants and permanents, Gauss-Jordan inversion, iterated total
-derivatives.  None of it reuses the library's own recursions, so agreement
-is evidence rather than tautology.  ``partition_count`` and ``mat_pow`` are
-the oracles ``iso verify`` runs, kept once in ``isobaric.verify`` and
-re-exported here.
+derivatives, term-by-term evaluation.  None of it reuses the library's own
+recursions, so agreement is evidence rather than tautology.
+``partition_count`` and ``mat_pow`` are the oracles ``iso verify`` runs,
+kept once in ``isobaric.verify`` and re-exported here.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ import itertools
 import operator
 from fractions import Fraction
 from math import comb, factorial
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
+from isobaric.partitions import ExponentVector
+from isobaric.polynomials import IsobaricPoly
 from isobaric.verify import mat_pow, partition_count  # noqa: F401
-
-if TYPE_CHECKING:
-    from isobaric.partitions import ExponentVector
 
 RationalLike = Union[Fraction, int, str]
 
@@ -77,6 +76,21 @@ def naive_perm(rows: list[list[Fraction]]) -> Fraction:
             prod *= rows[i][perm[i]]
             if prod == 0:
                 break
+        total += prod
+    return total
+
+
+def evaluate_reference(poly: IsobaricPoly, values: Sequence[RationalLike]) -> Fraction:
+    """``IsobaricPoly.evaluate`` written term by term over Fraction: each
+    coefficient times its product of powers, summed one Fraction at a time.
+    The oracle for the library's single integer sum."""
+    vals = [Fraction(v) for v in values[: poly.k]]
+    total = Fraction(0)
+    for alpha, c in poly.sorted_terms():
+        prod = c
+        for v, a in zip(vals, alpha.multiplicities):
+            if a:
+                prod *= v**a
         total += prod
     return total
 
@@ -206,3 +220,74 @@ def wip_root_coeff_iterated(
     for j in range(m):
         total += comb(m - 1, j) * falling_factorial(q, j) * values[m - 1 - j]
     return total / denom
+
+
+# -- sparse arithmetic on plain dicts ----------------------------------------
+
+# A reference polynomial is a dict from multiplicity tuples to nonzero
+# Fractions; degree and k travel beside it.  These are the oracles for the
+# IsobaricPoly arithmetic, which builds its results without validation.
+
+
+def ref_terms(poly: IsobaricPoly) -> dict[tuple[int, ...], Fraction]:
+    return {alpha.multiplicities: c for alpha, c in poly.sorted_terms()}
+
+
+def _nonzero(terms: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], Fraction]:
+    return {key: c for key, c in terms.items() if c != 0}
+
+
+def ref_add(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction]) -> dict[tuple, Fraction]:
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, Fraction(0)) + c
+    return _nonzero(out)
+
+
+def ref_scale(a: Mapping[tuple, Fraction], c: RationalLike) -> dict[tuple, Fraction]:
+    return _nonzero({key: v * Fraction(c) for key, v in a.items()})
+
+
+def ref_times_part(a: Mapping[tuple, Fraction], j: int, k: int) -> dict[tuple, Fraction]:
+    if j > k:
+        return {}
+    return {key[: j - 1] + (key[j - 1] + 1,) + key[j:]: v for key, v in a.items()}
+
+
+def ref_mul(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction]) -> dict[tuple, Fraction]:
+    out: dict[tuple, Fraction] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return _nonzero(out)
+
+
+def ref_evaluate(a: Mapping[tuple, Fraction], values: Sequence[RationalLike]) -> Fraction:
+    total = Fraction(0)
+    for key, c in a.items():
+        prod = c
+        for v, e in zip(values, key):
+            prod *= Fraction(v) ** e
+        total += prod
+    return total
+
+
+def assert_poly_is(poly: IsobaricPoly, n: int, k: int, terms: Mapping[tuple, Fraction]) -> None:
+    """``poly`` has degree n, k variables and exactly the reference ``terms``;
+    every stored coefficient is nonzero, every key has the polynomial's
+    degree and k, and equality and hash match a rebuild through the
+    validating public constructor."""
+    assert (poly.n, poly.k) == (n, k)
+    assert ref_terms(poly) == terms
+    stored = poly.sorted_terms()
+    assert len(stored) == len(poly)
+    for alpha, c in stored:
+        assert isinstance(alpha, ExponentVector) and isinstance(c, Fraction)
+        assert c != 0
+        assert alpha.k == len(alpha.multiplicities) == k
+        assert alpha.degree == sum(j * a for j, a in enumerate(alpha.multiplicities, 1)) == n
+        assert alpha.norm == sum(alpha.multiplicities)
+    rebuilt = IsobaricPoly(n, k, [(alpha.multiplicities, c) for alpha, c in stored])
+    assert poly == rebuilt
+    assert hash(poly) == hash(rebuilt)

@@ -76,6 +76,13 @@ def test_known_function_values():
     assert known_function("id", 3, 3).values == (1, 3, 9, 27)
 
 
+def test_sigma_values_are_power_sums():
+    for p in (2, 3, 1000003):
+        for N in range(61):
+            expected = tuple(Fraction(sum(p**i for i in range(n + 1))) for n in range(N + 1))
+            assert known_function("sigma", p, N).values == expected
+
+
 def test_known_function_errors():
     with pytest.raises(ValueError):
         known_function("nope", 2, 3)

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from isobaric.hessenberg import Cell
 from isobaric.partitions import ExponentVector
 from isobaric.polynomials import IsobaricPoly, PolySequence, WeightVector, convolve, gfp
 from isobaric.roots import (
@@ -196,6 +197,31 @@ def test_stirling_matrix_degenerate_rejection():
     assert gfp_root_stirling_matrix(0, 2, 1).value() == gfp_root_closed(0, 2, 1)
     assert gfp_root_stirling_matrix(Fraction(-5, 2), 2, 6).value() == gfp_root_closed(Fraction(-5, 2), 2, 6)
     assert isinstance(DegenerateQError("x"), ValueError)
+
+
+def test_stirling_matrix_cells_are_the_per_cell_B_ratios():
+    # The matrix tables B_m(q) once per call; every cell must still be the
+    # literal ratio formula with stirling_B called per cell.
+    qs = [Fraction(a, b) for a in range(-9, 10) for b in (1, 2, 3, 7)]
+    for q in qs:
+        for n in range(1, 9):
+            for k in (1, 3, 8):
+                if q.denominator == 1 and -(n - 2) <= q <= 0:
+                    with pytest.raises(DegenerateQError):
+                        gfp_root_stirling_matrix(q, k, n)
+                    continue
+                m = gfp_root_stirling_matrix(q, k, n)
+                for i in range(1, n + 1):
+                    for c in range(1, i + 1):
+                        j = i - c + 1
+                        if j > k:
+                            expected = Cell.make(0)
+                        elif j == i:
+                            expected = Cell.make(stirling_B(0, q), i)
+                        else:
+                            ratio = stirling_B(i - j, q) / stirling_B(i - j - 1, q)
+                            expected = Cell.make(Fraction(j * ratio - (i - j) * (j - 1), i), j)
+                        assert m.cell(i, c) == expected
 
 
 # -- group laws (module-level spot checks; the full grid is in acceptance) --
