@@ -47,13 +47,17 @@ MAX_TERMS = 10**6
 _POLY_VERBS = ("wip", "gfp", "glp", "hessenberg", "root-gfp", "root-wip", "conv")
 # The other loops whose length an argument sets, each sized so the largest
 # accepted input runs in seconds: the Hessenberg grid side n and its sweep's
-# term steps, n * min(n, k) * p_k(n); the orbit cells (k per row, counted
-# from row 0) a companion or different window computes, where a generic
-# window must also hold at most MAX_TERMS terms; the truncation N of mf and
-# mf-root; and the value products of mf-root --verify M, (M - 1) * (N + 1)^2.
+# term steps, n * min(n, k) * p_k(n), for hessenberg and the root-gfp matrix
+# methods; the orbit cells (k per row, counted from row 0) a companion or
+# different window or matrix computes, where a generic window must also hold
+# at most MAX_TERMS terms; the entry products of different --det,
+# k * 2^(k - 1), times p_k(2k - 2) terms per generic cell; the truncation N
+# of mf and mf-root; and the value products of mf-root --verify M,
+# (M - 1) * (N + 1)^2.
 MAX_HESSENBERG_N = 300
 MAX_HESSENBERG_STEPS = 500_000
 MAX_WINDOW_CELLS = 20_000
+MAX_DET_PRODUCTS = 100_000
 MAX_MF_N = 1000
 MAX_FOLD_PRODUCTS = 250_000
 
@@ -270,18 +274,26 @@ def _check_sizes(args) -> None:
     verb = args.verb
     if verb in _POLY_VERBS:
         _check_terms(args.k, args.n)
-    if verb == "hessenberg" and args.n > MAX_HESSENBERG_N:
-        raise ValueError(f"refusing n={args.n}: matrices are limited to {MAX_HESSENBERG_N} rows")
-    if verb == "hessenberg" and args.n >= 1 and args.k >= 1:
-        # p_k(n) <= MAX_TERMS here: _check_terms passed.
-        if args.n * min(args.n, args.k) * vector_count(args.n, args.k) > MAX_HESSENBERG_STEPS:
-            raise ValueError(
-                f"refusing n={args.n}, k={args.k}: the sweep would take more than "
-                f"{MAX_HESSENBERG_STEPS} term steps"
-            )
-    if verb in ("companion", "different") and args.rows is not None:
-        lo, hi = args.rows
+    # The root-gfp matrix methods run the same sweep as hessenberg.
+    if verb == "hessenberg" or (verb == "root-gfp" and args.method != "formula"):
+        if args.n > MAX_HESSENBERG_N:
+            raise ValueError(f"refusing n={args.n}: matrices are limited to {MAX_HESSENBERG_N} rows")
+        if args.n >= 1 and args.k >= 1:
+            # p_k(n) <= MAX_TERMS here: _check_terms passed.
+            if args.n * min(args.n, args.k) * vector_count(args.n, args.k) > MAX_HESSENBERG_STEPS:
+                raise ValueError(
+                    f"refusing n={args.n}, k={args.k}: the sweep would take more than "
+                    f"{MAX_HESSENBERG_STEPS} term steps"
+                )
+    if verb in ("companion", "different"):
         k = len(args.core) if args.core is not None else (args.k or 0)
+        # Without --rows, the matrix forms build rows 2-k..1 and 0..k-1.
+        if args.rows is not None:
+            lo, hi = args.rows
+        elif verb == "companion":
+            lo, hi = 2 - k, 1
+        else:
+            lo, hi = 0, k - 1
         cells = (max(hi, 0) - min(lo, 0) + 1) * k
         if cells > MAX_WINDOW_CELLS:
             raise ValueError(
@@ -293,6 +305,16 @@ def _check_sizes(args) -> None:
             if cells * vector_count(hi + k - 1, k, cap=MAX_TERMS + 1) > MAX_TERMS:
                 raise ValueError(
                     f"refusing rows {lo}..{hi}, k={k}: the orbit would hold more than {MAX_TERMS} terms"
+                )
+        if verb == "different" and args.det and args.rows is None and k >= 1:
+            # The checks above bound k, and p_k(2k - 2) with it.
+            products = k << (k - 1)
+            if args.core is None:
+                products *= vector_count(2 * k - 2, k)
+            if products > MAX_DET_PRODUCTS:
+                raise ValueError(
+                    f"refusing k={k}: the determinant would take {products} entry products, "
+                    f"over the limit of {MAX_DET_PRODUCTS}"
                 )
     if verb in ("mf", "mf-root") and args.N > MAX_MF_N:
         raise ValueError(f"refusing N={args.N}: truncations are limited to N <= {MAX_MF_N}")

@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Everything here is deliberately naive: brute-force enumeration, O(n!)
-determinants and permanents, Gauss-Jordan inversion, iterated total
+determinants (permutation sum and Laplace expansion) and permanents,
+Gaussian elimination, Gauss-Jordan inversion, iterated total
 derivatives, term-by-term evaluation.  None of it reuses the library's own
 recursions, so agreement is evidence rather than tautology.
 ``partition_count`` and ``mat_pow`` are the oracles ``iso verify`` runs,
@@ -64,6 +65,45 @@ def naive_det(rows: list[list[Fraction]]) -> Fraction:
                 break
         total += prod
     return total
+
+
+def laplace_det(rows: Sequence[Sequence]):
+    """Laplace expansion along the first row, over any entry ring with
+    ``+``, ``-`` and ``*`` (Fractions or isobaric polynomials); ~e·n!
+    products.  What ``companion.dense_det`` computed before its memoised
+    minors, kept as their oracle."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = None
+    for j in range(n):
+        minor = [[r[c] for c in range(n) if c != j] for r in rows[1:]]
+        term = rows[0][j] * laplace_det(minor)
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def gauss_det(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
+    """Gaussian elimination over Fraction with row swaps; O(n^3), for sizes
+    the permutation sum cannot reach."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
 
 
 def naive_perm(rows: list[list[Fraction]]) -> Fraction:

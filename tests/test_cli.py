@@ -10,6 +10,10 @@ import pytest
 
 from isobaric import IsobaricPoly, gfp, glp
 from isobaric.cli import _check_terms, main
+from isobaric.companion import CorePolynomial, different_matrix
+from isobaric.roots import gfp_root_closed
+
+from helpers import gauss_det
 
 
 def run(args):
@@ -357,6 +361,75 @@ def test_unbounded_loops_refused_up_front():
         proc = _iso(*argv, timeout=10)
         assert (proc.returncode, proc.stdout) == (2, ""), argv
         assert proc.stderr.startswith("error: refusing") and what in proc.stderr, proc.stderr
+
+
+def _csv(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _refused(argv, what: str) -> None:
+    proc = _iso(*argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, ""), argv
+    assert proc.stderr.startswith("error: refusing") and what in proc.stderr, proc.stderr
+
+
+def _accepted(argv) -> str:
+    proc = _iso(*argv, timeout=10)
+    assert proc.returncode == 0 and proc.stderr == "", (argv, proc.stderr)
+    return proc.stdout
+
+
+def test_determinant_products_refused_up_front():
+    # k * 2^(k - 1) entry products for a numeric core, times p_k(2k - 2)
+    # terms per cell for the generic one; both used to run until killed.
+    _refused(("different", "--k", "8", "--det"), "118784 entry products, over the limit of 100000")
+    _refused(("different", "--core", _csv(range(1, 15)), "--det"), "114688 entry products")
+    for k in (8, 11, 13):  # 53,248 products at k = 13
+        ts = range(1, k + 1)
+        want = gauss_det(different_matrix(CorePolynomial.numeric(ts)))
+        assert _accepted(("different", "--core", _csv(ts), "--det")) == f"det: {want}\n"
+    # Generic k = 7: 448 products times p_7(12) = 65 terms, checked at a point.
+    out = _accepted(("different", "--k", "7", "--det", "--format", "json"))
+    det = IsobaricPoly.from_json_dict(json.loads(out)["det"])
+    ts = [Fraction(x) for x in ("1/2", "-2", "3", "1/3", "-1", "5/4", "2")]
+    assert det.n == 42 and det.evaluate(ts) == gauss_det(different_matrix(CorePolynomial.numeric(ts)))
+
+
+def test_matrix_forms_get_the_window_checks():
+    # Without --rows, companion builds rows 2-k..1 and different rows 0..k-1.
+    for argv, what in (
+        (("different", "--k", "24"), "rows 0..23, k=24: the orbit would hold more than 1000000 terms"),
+        (("different", "--k", "32"), "more than 1000000 terms"),
+        (("companion", "--k", "400"), "rows -398..1, k=400: the orbit would run through 160000 cells"),
+        (("companion", "--k", "600"), "360000 cells"),
+        (("companion", "--k", "25"), "more than 1000000 terms"),
+        (("different", "--k", "16"), "more than 1000000 terms"),
+        (("companion", "--core", _csv([1] * 142)), "20164 cells"),
+        (("different", "--core", _csv([1] * 142)), "20164 cells"),
+    ):
+        _refused(argv, what)
+    # The accepted edges: 24^2 cells * p_24(24) terms, 15^2 * p_15(28), and
+    # 141^2 numeric cells.
+    assert len(_accepted(("companion", "--k", "24")).splitlines()) == 24
+    assert len(_accepted(("different", "--k", "15")).splitlines()) == 15
+    assert _accepted(("companion", "--core", _csv([1] * 141))).splitlines()[-1] == "  ".join(["1"] * 141)
+    assert len(_accepted(("different", "--core", _csv([1] * 141))).splitlines()) == 141
+
+
+def test_root_gfp_matrix_methods_get_the_sweep_bounds():
+    # The det, perm and stirling methods run the hessenberg verb's sweep.
+    for argv, what in (
+        (("--method", "det", "--q", "1/3", "--k", "2", "--n", "1000"), "limited to 300 rows"),
+        (("--method", "perm", "--q", "1/3", "--k", "3", "--n", "300"), "more than 500000 term steps"),
+        (("--method", "stirling", "--q", "1/3", "--k", "2", "--n", "2000"), "limited to 300 rows"),
+        (("--method", "det", "--q", "1/3", "--k", "2", "--n", "301"), "limited to 300 rows"),
+        # n * min(n, k) * p_k(n) = 125 * 3 * 1365 term steps
+        (("--method", "perm", "--q", "1/3", "--k", "3", "--n", "125"), "more than 500000 term steps"),
+    ):
+        _refused(("root-gfp", *argv), what)
+    for method, k, n in (("det", 2, 300), ("perm", 3, 124), ("stirling", 2, 300)):
+        out = _accepted(("root-gfp", "--method", method, "--q", "1/3", "--k", str(k), "--n", str(n)))
+        assert out == f"{gfp_root_closed(Fraction(1, 3), k, n)}\n", (method, k, n)
 
 
 def test_size_limits_at_their_edges():
