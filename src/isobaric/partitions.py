@@ -139,40 +139,58 @@ def exponent_vectors(n: int, k: int) -> tuple[ExponentVector, ...]:
     n = k = 3: (3,0,0), (1,1,0), (0,0,1).  The order is what the polynomial
     printer and JSON writer rely on, so it is part of the contract.
 
-    Only slots 1..min(n, k) can be nonzero; the rest are padded with zeros.
-    A reachability table over (slot j, remainder r), built by the
-    partition-count rows of parts min(n, k)..j, prunes every branch whose
-    remainder cannot be finished, so each node visited leads to a vector.
+    Only parts 1..m = min(n, k) can occur.  The recursion visits only the
+    part sizes a vector uses: at (next part j, remainder r) it tries each
+    part p = j..m and, for p, each multiplicity a from r // p down to 1
+    whose remainder r - a*p is a sum of parts p+1..m, by a reachability
+    table built from the partition-count rows of parts m..2.  Slots j..p-1
+    stay zero.  Descending lex follows: at each node a_j > 0 precedes
+    a_j = 0, larger a_j precedes smaller, and a vector is emitted once its
+    remainder reaches 0.  The largest part m takes the whole remainder or
+    nothing, so it needs no table row.  Every node visited leads to a
+    vector, so each vector costs one Python frame per distinct part below
+    its largest one, plus one k-slot tuple copy of the reused slot list.
     """
     if k < 1:
         raise ValueError("part bound k must be >= 1")
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     m = min(n, k)
-    pad = (0,) * (k - m)
+    slots = [0] * k
     if m == 0:
-        return (ExponentVector._trusted(pad, 0, 0),)
-    # reach[j][r] != 0 iff r is a sum of parts j..m; slot j - 1 reads it.
+        return (ExponentVector._trusted(tuple(slots), 0, 0),)
+    # reach[j][r] != 0 iff r is a sum of parts j..m; part j - 1 reads it.
     reach = [[]] * (m + 1)
     parts = range(m, 1, -1)
     for j, row in zip(parts, _count_rows(n, parts, 1)):
         reach[j] = row[:]
     out: list[ExponentVector] = []
-    acc: list[int] = []
+    emit = out.append
+    trusted = ExponentVector._trusted
 
-    def fill(j: int, remaining: int, parts: int) -> None:
-        if j == m:
-            a = remaining // m
-            out.append(ExponentVector._trusted(tuple(acc) + (a,) + pad, n, parts + a))
-            return
-        nxt = reach[j + 1]
-        # Smallest remainder first is largest a_j first: descending lexicographic.
-        for r in range(remaining % j, remaining + 1, j):
-            if nxt[r]:
-                a = (remaining - r) // j
-                acc.append(a)
-                fill(j + 1, r, parts + a)
-                acc.pop()
+    def fill(j: int, r: int, norm: int) -> None:
+        # A part p > r // 2 other than r itself would leave a remainder
+        # in 1..p, which no larger part fills.
+        half = r // 2 + 1
+        for p in range(j, half if half < m else m):
+            nxt = reach[p + 1]
+            # Smallest remainder first is largest a_p first.
+            rest = r % p
+            if not rest:
+                slots[p - 1] = a = r // p
+                emit(trusted(tuple(slots), n, norm + a))
+                rest = p
+            for rest in range(rest, r - p + 1, p):
+                if nxt[rest]:
+                    slots[p - 1] = a = (r - rest) // p
+                    fill(p + 1, rest, norm + a)
+            slots[p - 1] = 0
+        # Then the single part r, or else the largest part m filling r.
+        p = r if r < m else m
+        if not r % p:
+            slots[p - 1] = a = r // p
+            emit(trusted(tuple(slots), n, norm + a))
+            slots[p - 1] = 0
 
     fill(1, n, 0)
     return tuple(out)

@@ -373,8 +373,7 @@ class _Powers(dict):
 
 class _Factorials(dict):
     """i -> i!, each computed on first use: a per-call table holding only the
-    values the call needs (one entry, not n, when a single part size fills
-    degree n)."""
+    values the call needs."""
 
     def __missing__(self, i: int) -> int:
         self[i] = value = factorial(i)
@@ -395,7 +394,8 @@ def wip_closed(
 
     The weights omega(1..min(n, k)) are read once, as integers W_j over a
     common denominator D, and the multinomials come from one factorial
-    table filled on demand, so each coefficient is the single fraction
+    table filled on demand (none when a single part size fills the degree,
+    where the multinomial is 1), so each coefficient is the single fraction
     multinomial(alpha) * (sum_j alpha_j * W_j) / (|alpha| * D).
 
     Degree 0 is a convention, not a consequence of the sum: the default
@@ -415,12 +415,18 @@ def wip_closed(
     terms = {}
     for alpha in exponent_vectors(n, k):
         parts = alpha.norm
-        multinomial = fact[parts]
-        dot = 0
-        for a, w in zip(alpha.multiplicities, weights):
-            if a:
-                multinomial //= fact[a]
-                dot += a * w
+        mult = alpha.multiplicities
+        if parts in mult:
+            # One part size fills the degree: the multinomial is 1, and
+            # |alpha|! (10^9! for k = 1, n = 10^9) is never built.
+            multinomial, dot = 1, parts * weights[mult.index(parts)]
+        else:
+            multinomial = fact[parts]
+            dot = 0
+            for a, w in zip(mult, weights):
+                if a:
+                    multinomial //= fact[a]
+                    dot += a * w
         if dot:
             terms[alpha] = Fraction(multinomial * dot, parts * scale)
     return IsobaricPoly._trusted(n, k, terms)

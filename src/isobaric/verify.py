@@ -47,11 +47,15 @@ def suite_partitions(max_n: int) -> Result:
             vecs = exponent_vectors(n, k)
             if any(a.degree != n for a in vecs):
                 return False, f"degree drift at n={n}, k={k}"
+            if any(a.norm != sum(a.multiplicities) for a in vecs):
+                return False, f"norm drift at n={n}, k={k}"
             if len(vecs) != partition_count(n, k) or vector_count(n, k) != len(vecs):
                 return False, f"count mismatch at n={n}, k={k}"
+            # Strictly: a duplicate that stands in for a missing vector keeps
+            # the count and a non-strict order.
             keys = [a.multiplicities for a in vecs]
-            if keys != sorted(keys, reverse=True):
-                return False, f"order not descending at n={n}, k={k}"
+            if any(x <= y for x, y in zip(keys, keys[1:])):
+                return False, f"keys not strictly descending at n={n}, k={k}"
             if k >= n >= 1:
                 trimmed = [a.multiplicities[:n] for a in vecs]
                 base = [a.multiplicities for a in exponent_vectors(n, n)]

@@ -4,7 +4,10 @@ Everything here is deliberately naive: brute-force enumeration, O(n!)
 determinants (permutation sum and Laplace expansion) and permanents,
 Gaussian elimination, Gauss-Jordan inversion, iterated total
 derivatives, term-by-term evaluation.  None of it reuses the library's own
-recursions, so agreement is evidence rather than tautology.
+recursions, so agreement is evidence rather than tautology.  Two are the
+library's earlier routes, kept as oracles for the faster ones:
+``laplace_det`` and ``slot_exponent_vectors`` (which shares only the
+partition-count table).
 ``partition_count`` and ``mat_pow`` are the oracles ``iso verify`` runs,
 kept once in ``isobaric.verify`` and re-exported here.
 """
@@ -17,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Mapping, Sequence, Union
 
-from isobaric.partitions import ExponentVector
+from isobaric.partitions import ExponentVector, _count_rows
 from isobaric.polynomials import IsobaricPoly
 from isobaric.verify import mat_pow, partition_count  # noqa: F401
 
@@ -40,6 +43,41 @@ def brute_force_vectors(n: int, k: int) -> set[tuple[int, ...]]:
         if rest >= 0:
             out.add((rest,) + tail)
     return out
+
+
+def slot_exponent_vectors(n: int, k: int) -> tuple[ExponentVector, ...]:
+    """``exponent_vectors`` by one recursion frame per slot 1..min(n, k):
+    what the library computed before it recursed over used parts only, kept
+    as its oracle.  Same reachability table, so the same pruning, but every
+    vector pays for every slot."""
+    m = min(n, k)
+    pad = (0,) * (k - m)
+    if m == 0:
+        return (ExponentVector._trusted(pad, 0, 0),)
+    # reach[j][r] != 0 iff r is a sum of parts j..m; slot j - 1 reads it.
+    reach = [[]] * (m + 1)
+    parts = range(m, 1, -1)
+    for j, row in zip(parts, _count_rows(n, parts, 1)):
+        reach[j] = row[:]
+    out: list[ExponentVector] = []
+    acc: list[int] = []
+
+    def fill(j: int, remaining: int, parts: int) -> None:
+        if j == m:
+            a = remaining // m
+            out.append(ExponentVector._trusted(tuple(acc) + (a,) + pad, n, parts + a))
+            return
+        nxt = reach[j + 1]
+        # Smallest remainder first is largest a_j first: descending lexicographic.
+        for r in range(remaining % j, remaining + 1, j):
+            if nxt[r]:
+                a = (remaining - r) // j
+                acc.append(a)
+                fill(j + 1, r, parts + a)
+                acc.pop()
+
+    fill(1, n, 0)
+    return tuple(out)
 
 
 def perm_parity(perm: tuple[int, ...]) -> int:

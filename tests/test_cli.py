@@ -1,6 +1,7 @@
 import io
 import contextlib
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -456,6 +457,35 @@ def test_size_limits_at_their_edges():
     assert run(["mf-root", "--fn", "zeta", "--N", "3", "--q", "1/2", "--verify", "0"])[2] == (
         "error: --verify takes a fold count >= 1\n"
     )
+
+
+def _capped_address_space() -> None:
+    # 1 GiB: an O(n) table at n = 10^9 fails at once instead of swapping.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_one_part_size_filling_the_degree_builds_no_factorial():
+    # One term; its multinomial is 1, so 10^9! is never computed.
+    n = 10**9
+    for argv, want in (
+        (("gfp", "--k", "1"), "t1^1000000000\n"),
+        (("glp", "--k", "1"), "t1^1000000000\n"),
+        (("wip", "--weights", "3", "--k", "1"), "3 t1^1000000000\n"),
+    ):
+        for fmt in ("text", "json"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "isobaric.cli", *argv, "--n", str(n), "--format", fmt],
+                capture_output=True,
+                text=True,
+                timeout=10,
+                preexec_fn=_capped_address_space,
+            )
+            assert (proc.returncode, proc.stderr) == (0, ""), (argv, proc.stderr)
+            if fmt == "text":
+                assert proc.stdout == want
+            else:
+                poly = IsobaricPoly.from_json_dict(json.loads(proc.stdout))
+                assert (poly.n, poly.k, str(poly) + "\n") == (n, 1, want)
 
 
 def test_coefficients_past_the_int_digit_limit_print_in_full():

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from isobaric import verify
 from isobaric.partitions import ExponentVector, exponent_vectors, multinomial, vector_count, weight_dot
 
-from helpers import brute_force_vectors, partition_count
+from helpers import brute_force_vectors, partition_count, slot_exponent_vectors
 
 
 def test_enumeration_order_n3_k3():
@@ -28,6 +30,51 @@ def test_enumeration_matches_brute_force():
             vecs = exponent_vectors(n, k)
             assert [a.multiplicities for a in vecs] == want
             assert len(vecs) == len(set(vecs)) == partition_count(n, k) == vector_count(n, k)
+
+
+def _fields(vecs):
+    return [(a.multiplicities, a.degree, a.norm) for a in vecs]
+
+
+def test_enumeration_matches_slot_oracle():
+    # The used-parts recursion against the old one-frame-per-slot route:
+    # same vectors, degrees and norms, in the same order.
+    for n in range(0, 23):
+        for k in range(1, 25):
+            assert _fields(exponent_vectors(n, k)) == _fields(slot_exponent_vectors(n, k)), (n, k)
+    rng = random.Random(2014)
+    drawn = [(rng.randint(23, 30), rng.randint(1, 34)) for _ in range(3)]
+    for n, k in [(40, 40), (50, 12), (60, 6), (200, 2), (10**6, 1)] + drawn:
+        assert _fields(exponent_vectors(n, k)) == _fields(slot_exponent_vectors(n, k)), (n, k)
+
+
+def _norm_off_by_one(n, k):
+    vecs = list(exponent_vectors(n, k))
+    a = vecs[-1]
+    vecs[-1] = ExponentVector._trusted(a.multiplicities, a.degree, a.norm + 1)
+    return tuple(vecs)
+
+
+def _duplicate_replaces_missing(n, k):
+    vecs = list(exponent_vectors(n, k))
+    if len(vecs) > 1:
+        vecs[-1] = vecs[-2]
+    return tuple(vecs)
+
+
+@pytest.mark.parametrize(
+    "mutant, message",
+    [
+        (_norm_off_by_one, "norm drift at n=0, k=1"),
+        (_duplicate_replaces_missing, "keys not strictly descending at n=2, k=2"),
+    ],
+)
+def test_verify_partitions_catches_mutants(monkeypatch, mutant, message):
+    # Both keep every degree and the vector count, which is all the suite
+    # checked before.
+    assert verify.suite_partitions(12) == (True, "")
+    monkeypatch.setattr(verify, "exponent_vectors", mutant)
+    assert verify.suite_partitions(12) == (False, message)
 
 
 def test_enumerated_vectors_match_public_constructor():
